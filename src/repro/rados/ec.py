@@ -19,10 +19,12 @@ submatrix of a Vandermonde matrix over distinct points is nonsingular.
 Decoding from any ``k`` surviving chunks is therefore one small matrix
 inversion (Gauss-Jordan over GF(256)) plus a matrix-vector product.
 
-The per-byte work is vectorized with numpy via the usual log/exp tables
-(the same precedent as the fleet-scale event engine): multiplying a chunk
-by a field scalar is two table gathers and a mask, and each output chunk
-is the XOR of ``k`` such products.
+The per-byte work is table-driven, the way Ceph's EC plugins do it: the
+log/exp tables are expanded once, on first use, into the full 256 x 256
+product table (64 KiB), so multiplying a chunk by a field scalar is one
+byte-to-byte lookup through that scalar's 256-entry row, and each output
+chunk is the XOR of ``k`` such products.  Encode, decode and reconstruct
+are all the same matrix product and share one kernel, :func:`_gf_matmul`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..util import chunked_views
 
 #: xattr carrying a shard's recorded chunk index.  Shard identity must
 #: never be positional: CRUSH up-set positions shift when an OSD is
@@ -67,28 +70,60 @@ def _build_tables() -> None:
 _build_tables()
 
 
+@lru_cache(maxsize=None)
+def _gf_mul_table() -> np.ndarray:
+    """The full product table: ``table[a, b] == a * b`` in the field.
+
+    Row ``a`` is the byte-to-byte map "multiply by ``a``" the chunk kernel
+    uses.  64 KiB, expanded from the log/exp tables on first use, so a
+    process that never touches an EC pool never builds it.
+    """
+    table = _GF_EXP[_GF_LOG[:, None] + _GF_LOG[None, :]]
+    table[0, :] = 0
+    table[:, 0] = 0
+    return table
+
+
+def _field_element(value: int) -> int:
+    if not (isinstance(value, (int, np.integer)) and 0 <= value <= 255):
+        raise ConfigurationError(
+            f"{value!r} is not a GF(256) element (expected 0..255)")
+    return value
+
+
 def gf_mul(a: int, b: int) -> int:
     """Product of two field elements (scalar form)."""
-    if a == 0 or b == 0:
-        return 0
-    return int(_GF_EXP[int(_GF_LOG[a]) + int(_GF_LOG[b])])
+    return int(_gf_mul_table()[_field_element(a), _field_element(b)])
 
 
 def gf_inv(a: int) -> int:
     """Multiplicative inverse of a nonzero field element."""
-    if a == 0:
+    if _field_element(a) == 0:
         raise ZeroDivisionError("0 has no inverse in GF(256)")
     return int(_GF_EXP[255 - int(_GF_LOG[a])])
 
 
-def _gf_mul_vec(scalar: int, vector: np.ndarray) -> np.ndarray:
-    """Product of a field scalar with a uint8 vector, vectorized."""
-    if scalar == 0:
-        return np.zeros_like(vector)
-    if scalar == 1:
-        return vector.copy()
-    out = _GF_EXP[_GF_LOG[scalar] + _GF_LOG[vector]]
-    out[vector == 0] = 0
+def _gf_matmul(coefficient_rows: Sequence[Sequence[int]],
+               chunk_rows: Sequence[bytes]) -> np.ndarray:
+    """Matrix product over GF(256): coefficients times equal-length chunks.
+
+    ``out[i] = XOR_j coefficient_rows[i][j] * chunk_rows[j]``, returned as
+    a ``(len(coefficient_rows), chunk_len)`` uint8 array.  Each term is
+    one ``bytes.translate`` through the coefficient's product-table row —
+    the table lookup without widening the chunk to index-sized integers —
+    XOR-accumulated in place; 0 and 1 coefficients need no lookup.
+    """
+    table = _gf_mul_table()
+    chunks = [bytes(chunk) for chunk in chunk_rows]
+    chunk_len = len(chunks[0]) if chunks else 0
+    out = np.zeros((len(coefficient_rows), chunk_len), dtype=np.uint8)
+    for acc, coefficients in zip(out, coefficient_rows):
+        for coefficient, chunk in zip(coefficients, chunks):
+            if coefficient == 0:
+                continue
+            if coefficient != 1:
+                chunk = chunk.translate(table[coefficient].tobytes())
+            acc ^= np.frombuffer(chunk, dtype=np.uint8)
     return out
 
 
@@ -203,16 +238,11 @@ class ReedSolomonCodec:
         chunk_len = self.chunk_length(len(data))
         if chunk_len == 0:
             return [b""] * self.total
-        padded = np.zeros(self.k * chunk_len, dtype=np.uint8)
-        padded[:len(data)] = np.frombuffer(data, dtype=np.uint8)
-        rows = padded.reshape(self.k, chunk_len)
-        chunks = [rows[j].tobytes() for j in range(self.k)]
-        for index in range(self.k, self.total):
-            acc = np.zeros(chunk_len, dtype=np.uint8)
-            for j in range(self.k):
-                acc ^= _gf_mul_vec(self.matrix[index][j], rows[j])
-            chunks.append(acc.tobytes())
-        return chunks
+        if len(data) != self.k * chunk_len:
+            data = bytes(data) + bytes(self.k * chunk_len - len(data))
+        chunks = [bytes(view) for view in chunked_views(data, chunk_len)]
+        parity = _gf_matmul(self.matrix[self.k:], chunks)
+        return chunks + [row.tobytes() for row in parity]
 
     # -- decode ---------------------------------------------------------------
 
@@ -238,15 +268,8 @@ class ReedSolomonCodec:
             # Systematic fast path: all data chunks survived.
             return b"".join(shards[index] for index in chosen)
         inverse = _matrix_invert([self.matrix[index] for index in chosen])
-        survivors = [np.frombuffer(shards[index], dtype=np.uint8)
-                     for index in chosen]
-        rows = []
-        for j in range(self.k):
-            acc = np.zeros(chunk_len, dtype=np.uint8)
-            for i in range(self.k):
-                acc ^= _gf_mul_vec(inverse[j][i], survivors[i])
-            rows.append(acc.tobytes())
-        return b"".join(rows)
+        return _gf_matmul(inverse,
+                          [shards[index] for index in chosen]).tobytes()
 
     def reconstruct(self, shards: Dict[int, bytes], index: int) -> bytes:
         """Rebuild the single chunk ``index`` from any ``k`` survivors.
@@ -263,11 +286,8 @@ class ReedSolomonCodec:
             return b""
         if index < self.k:
             return padded[index * chunk_len:(index + 1) * chunk_len]
-        rows = np.frombuffer(padded, dtype=np.uint8).reshape(self.k, chunk_len)
-        acc = np.zeros(chunk_len, dtype=np.uint8)
-        for j in range(self.k):
-            acc ^= _gf_mul_vec(self.matrix[index][j], rows[j])
-        return acc.tobytes()
+        rows = list(chunked_views(padded, chunk_len))
+        return _gf_matmul([self.matrix[index]], rows)[0].tobytes()
 
     def _choose(self, shards: Dict[int, bytes]) -> List[int]:
         """Pick the k survivors to decode from (data chunks preferred)."""

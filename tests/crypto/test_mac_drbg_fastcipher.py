@@ -1,11 +1,16 @@
 """Tests for the sector MAC, the deterministic DRBG and the fast ciphers."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.drbg import HmacDrbg, OsRandomSource, default_random_source
 from repro.crypto.fastcipher import Blake2Xts, NullCipher
 from repro.crypto.mac import DEFAULT_TAG_SIZE, SectorMac
+from repro.crypto.iv import Plain64IV
+from repro.crypto.suite import get_suite
+from repro.encryption.codecs import XtsCodec
 from repro.errors import AuthenticationError, IVSizeError, KeySizeError
 
 
@@ -150,3 +155,74 @@ class TestFastCiphers:
     def test_blake2_roundtrip_property(self, data, tweak):
         cipher = Blake2Xts(bytes(range(32)))
         assert cipher.decrypt(tweak, cipher.encrypt(tweak, data)) == data
+
+
+def _reference_keystream(key: bytes, tweak: bytes, length: int) -> bytes:
+    """The written definition of the ``blake2-xts-sim`` keystream."""
+    derived = hashlib.blake2b(key, digest_size=32).digest()
+    out = b""
+    counter = 0
+    while len(out) < length:
+        out += hashlib.blake2b(tweak + counter.to_bytes(8, "little"),
+                               key=derived, digest_size=64).digest()
+        counter += 1
+    return out[:length]
+
+
+class TestBlake2Keystream:
+    KEY = bytes(range(32))
+    TWEAK = bytes(range(100, 116))
+
+    # 8192 is two 4 KiB sectors: past the precomputed counter suffixes
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 4096, 4097, 8192])
+    def test_known_answer(self, length):
+        data = bytes((7 * i + 3) & 0xFF for i in range(length))
+        keystream = _reference_keystream(self.KEY, self.TWEAK, length)
+        expected = bytes(a ^ b for a, b in zip(data, keystream))
+        cipher = Blake2Xts(self.KEY)
+        assert cipher.encrypt(self.TWEAK, data) == expected
+        assert cipher.encrypt(self.TWEAK, bytes(length)) == keystream
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_bytes_like_tweak_and_data(self, wrap):
+        cipher = Blake2Xts(self.KEY)
+        data = bytes(range(256)) * 2
+        expected = cipher.encrypt(self.TWEAK, data)
+        out = cipher.encrypt(wrap(self.TWEAK), wrap(data))
+        assert type(out) is bytes and out == expected
+
+    def test_two_keys_never_share_state(self):
+        other_key = bytes(range(1, 33))
+        first, second = Blake2Xts(self.KEY), Blake2Xts(other_key)
+        # interleave the two ciphers: neither call may disturb the other
+        for length in (64, 4096, 100):
+            assert first.encrypt(self.TWEAK, bytes(length)) == \
+                _reference_keystream(self.KEY, self.TWEAK, length)
+            assert second.encrypt(self.TWEAK, bytes(length)) == \
+                _reference_keystream(other_key, self.TWEAK, length)
+
+    @given(data=st.binary(min_size=0, max_size=9000),
+           tweak=st.binary(min_size=16, max_size=16))
+    @settings(max_examples=20, deadline=None)
+    def test_encrypt_twice_is_identity(self, data, tweak):
+        cipher = Blake2Xts(self.KEY)
+        assert cipher.encrypt(tweak, cipher.encrypt(tweak, data)) == data
+
+
+class TestCodecReturnsBytes:
+    """``SectorCodec``: ciphertext is ``bytes`` whatever buffer came in."""
+
+    @pytest.mark.parametrize("suite_name",
+                             ["null-sim", "blake2-xts-sim", "aes-xts-256"])
+    def test_memoryview_through_xts_codec(self, suite_name):
+        suite = get_suite(suite_name)
+        codec = XtsCodec(suite.create(bytes(range(suite.key_size))),
+                         Plain64IV())
+        scratch = bytearray(range(256)) * 2      # a reusable caller buffer
+        plaintext = bytes(scratch)
+        sector = codec.encrypt_sector(5, memoryview(scratch))
+        assert type(sector.ciphertext) is bytes
+        scratch[:] = bytes(len(scratch))         # the caller reuses its buffer
+        decrypted = codec.decrypt_sector(5, memoryview(sector.ciphertext),
+                                         sector.metadata)
+        assert type(decrypted) is bytes and decrypted == plaintext
