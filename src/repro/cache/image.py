@@ -43,10 +43,6 @@ from ..obs.names import KIND_CACHE_HIT
 from ..rbd.image import Image, IoResult
 from ..sim.ledger import OpReceipt, OpTrace, RES_CLIENT_CPU
 
-#: client CPU cost of a cache lookup + copy, used when the cost parameters
-#: predate the ``cache_hit_cost_us`` knob.
-DEFAULT_HIT_COST_US = 2.0
-
 
 class CachedImage:
     """A client-side block cache wrapped around an :class:`Image`."""
@@ -115,7 +111,7 @@ class CachedImage:
         return self.config.mode == "writeback"
 
     def _hit_cost_us(self) -> float:
-        return getattr(self._params, "cache_hit_cost_us", DEFAULT_HIT_COST_US)
+        return self._params.cache_hit_cost_us
 
     def _account(self, receipt: OpReceipt, touched_inner: bool) -> OpReceipt:
         """Charge the client CPU cost of the cache lookup/copy work.

@@ -227,10 +227,11 @@ class IoPipeline:
         callers — the common case — are immutable anyway)."""
         # Validate eagerly: a bad extent must fail at the offending call,
         # not poison the whole window at flush time.
-        self._image.check_io(offset, len(data))
-        if not data:
+        view = as_readonly_view(data)
+        self._image.check_io(offset, len(view))
+        if not len(view):
             return
-        touched = self._blocks_of(offset, len(data))
+        touched = self._blocks_of(offset, len(view))
         if self._has_hazard(touched):
             self.stats.hazard_flushes += 1
             self.flush()
@@ -239,7 +240,7 @@ class IoPipeline:
             self.flush()
         # Keep a zero-copy read-only view; the copy this used to make here
         # (``bytes(data)``) is deferred to transaction build at flush time.
-        self._pending.append((offset, as_readonly_view(data)))
+        self._pending.append((offset, view))
         for object_no, blocks in touched.items():
             self._pending_blocks.setdefault(object_no, set()).update(blocks)
         if len(self._pending) >= self._config.queue_depth:

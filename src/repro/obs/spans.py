@@ -153,8 +153,7 @@ def spans_from_client_ops(ops: Sequence, tracer: SpanTracer,
                 tracer.osd_visit(visit.osd_id, begin, local_ack, trace.kind)
                 ack = max(ack, local_ack)
             now = ack + half_rtt
-            tracer.rados_op(c, trace.kind, start, now,
-                            getattr(trace, "retries", 0))
+            tracer.rados_op(c, trace.kind, start, now, trace.retries)
         tracer.client_op(c, _op_kind(cop.traces), op_start, now,
                          cop.requests)
 

@@ -10,7 +10,9 @@ layers above can aggregate per-image-IO latency for the queue-depth bound.
 Failure handling
 ----------------
 Dispatch is robust against OSD death (the cluster's failure lifecycle,
-:mod:`repro.rados.cluster`):
+:mod:`repro.rados.cluster`).  The policy below is written once, here;
+what one attempt does on each OSD is the pool backend's
+(:mod:`repro.rados.backend`: replicated or erasure-coded):
 
 * every operation targets the object's **acting set** — the CRUSH up set
   filtered to OSDs that are up and recovered — recomputed on each attempt
@@ -33,38 +35,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .cluster import Cluster, Pool
-from .ec import (EC_SHARD_XATTR, EC_SIZE_XATTR, ReedSolomonCodec,
-                 assign_shard_indices, ec_codec, parse_logical_size,
-                 parse_shard_index)
-from .transaction import (OpCreate, OpGetXattr, OpOmapGetValsByKeys,
-                          OpOmapGetValsByRange, OpOmapRmKeys, OpOmapRmRange,
-                          OpOmapSetKeys, OpRead, OpRemove, OpResult,
-                          OpSetXattr, OpStat, OpTruncate, OpWrite, OpWriteFull,
-                          OpZero, ReadOperation, WriteTransaction)
-from ..errors import (DegradedClusterError, ObjectNotFoundError, OsdDownError,
-                      TransactionError)
-from ..faults.plan import (STAGE_KILL_EC_SHARD_MID_TXN,
-                           STAGE_KILL_PRIMARY_MID_TXN,
-                           STAGE_KILL_REPLICA_MID_TXN, osd_kill_due)
+from .transaction import OpResult, ReadOperation, WriteTransaction
+from ..errors import DegradedClusterError, ObjectNotFoundError, OsdDownError
 from ..obs.names import KIND_READ, KIND_WRITE
-from ..sim.ledger import (OpReceipt, OpTrace, RES_CLIENT_CPU, RES_CLIENT_NET,
-                          RES_CLUSTER_NET)
-
-#: write-transaction ops that touch object data (striped on EC pools)
-_EC_DATA_OPS = (OpCreate, OpWrite, OpWriteFull, OpZero, OpTruncate, OpRemove)
-#: write-transaction ops that carry metadata (replicated onto every shard)
-_EC_META_OPS = (OpSetXattr, OpOmapSetKeys, OpOmapRmKeys, OpOmapRmRange)
-
-
-@dataclass
-class _EcStripe:
-    """One reassembled EC stripe: the padded logical buffer plus the
-    bookkeeping a read (or read-modify-write) needs."""
-
-    padded: bytes            #: k * chunk_len bytes (zero-padded logical body)
-    size: int                #: logical object size recorded on the shards
-    latency_us: float        #: OSD-side latency (chunk reads in parallel)
-    decoded: bool            #: True when parity reconstruction was needed
+from ..sim.ledger import OpReceipt, OpTrace, RES_CLIENT_CPU, RES_CLIENT_NET
 
 
 @dataclass(frozen=True)
@@ -132,9 +106,8 @@ class IoCtx:
         # Deterministic backoff jitter: seeded per pool so simulated runs
         # (and their latency percentiles) are bit-reproducible.
         self._retry_rng = random.Random(f"rados-retry/{pool.name}")
-        self._ec_codec: Optional[ReedSolomonCodec] = (
-            ec_codec(pool.k, pool.m)  # type: ignore[attr-defined]
-            if pool.is_ec else None)
+        #: everything that depends on how the pool lays objects out
+        self._backend = pool.backend(cluster)
 
     # -- snapshot plumbing -------------------------------------------------------
 
@@ -171,15 +144,6 @@ class IoCtx:
 
     # -- helpers --------------------------------------------------------------------
 
-    def _up_set_for(self, name: str) -> List[int]:
-        return self._cluster.placement.osds_for_object(
-            self._pool.name, name, self._pool.replica_count)
-
-    def _acting_for(self, name: str) -> List[int]:
-        """The acting set: up-set members that are up and recovered."""
-        return [osd_id for osd_id in self._up_set_for(name)
-                if self._cluster.osd_by_id(osd_id).serving]
-
     def _backoff_us(self, failed_attempts: int) -> float:
         """Bounded exponential backoff with seeded jitter (in [50%, 100%]
         of the nominal step, so retries never synchronize)."""
@@ -206,22 +170,24 @@ class IoCtx:
 
     def operate_write(self, name: str, txn: WriteTransaction,
                       object_size_hint: int = 4 * 1024 * 1024) -> OpReceipt:
-        """Apply a transaction to every acting replica of ``name`` atomically.
+        """Apply a transaction to every acting member of ``name`` atomically.
 
         Retries around mid-operation OSD death with timeout + backoff;
         succeeds once every member of the (possibly shrunken) acting set
         committed, provided the set meets the pool's ``min_size`` quorum.
+        What each member commits is the pool backend's business.
         """
-        if self._ec_codec is not None:
-            return self._operate_write_ec(name, txn, object_size_hint)
         params = self._cluster.params
         ledger = self._cluster.ledger
+        pool = self._pool
+        backend = self._backend
         payload = txn.payload_bytes()
 
         client_cpu_us, client_net_us = self._charge_client(payload)
         client_us = client_cpu_us + client_net_us
         snap_seq = self._snap_context.seq
         snap_ids = self._snap_context.snaps
+        prepared = backend.prepare_write(txn, object_size_hint)
 
         penalty_us = 0.0
         last_error: Optional[OsdDownError] = None
@@ -229,19 +195,19 @@ class IoCtx:
             if attempt > 1:
                 penalty_us += self._backoff_us(attempt - 1)
                 ledger.count("cluster.write_retries")
-            acting = self._acting_for(name)
-            if len(acting) < min(self._pool.min_size, self._pool.replica_count):
+            acting = backend.acting_set(name)
+            if len(acting) < min(pool.min_size, pool.replica_count):
                 raise DegradedClusterError(
-                    f"write to {self._pool.name}/{name}: acting set "
+                    f"write to {pool.name}/{name}: acting set "
                     f"{acting} is below the pool quorum "
-                    f"(min_size={self._pool.min_size})")
+                    f"(min_size={pool.min_size})")
             if ledger.trace_ops:
-                # A failed attempt may have left partial replica visits.
+                # A failed attempt may have left partial member visits.
                 ledger.take_osd_visits()
             try:
-                osd_side = self._dispatch_write(
-                    acting, name, txn, object_size_hint, snap_seq, snap_ids,
-                    payload)
+                prepare_us, commit_us, push_bytes = backend.dispatch_write(
+                    prepared, acting, name, object_size_hint, snap_seq,
+                    snap_ids, payload)
             except OsdDownError as exc:
                 # One per-op timeout burned discovering the death; the
                 # next attempt recomputes the acting set around it.
@@ -249,147 +215,21 @@ class IoCtx:
                 ledger.count("cluster.osd_dispatch_timeouts")
                 last_error = exc
                 continue
-            if len(acting) < self._pool.replica_count:
-                ledger.count("cluster.degraded_writes")
-            latency = (client_us + params.network_round_trip_us
-                       + osd_side + penalty_us)
-            ledger.count("rados.client_write_ops")
-            if ledger.trace_ops:
-                # The OSD layer recorded one visit per acting replica in
-                # dispatch order (primary first); annotate the replicas
-                # with their replication-network demands for the event
-                # engine.  Retry stalls ride the network latency term.
-                visits = ledger.take_osd_visits()
-                push_us = params.cluster_transfer_us(payload)
-                for visit in visits[1:]:
-                    visit.hop_us = params.replication_hop_us
-                    visit.push_us = push_us
-                ledger.record_op_trace(OpTrace(
-                    kind=KIND_WRITE, client_cpu_us=client_cpu_us,
-                    client_net_us=client_net_us,
-                    network_us=params.network_round_trip_us + penalty_us,
-                    visits=visits, bytes_moved=payload,
-                    retries=attempt - 1))
-            return OpReceipt(latency_us=latency, bytes_moved=payload)
-        raise DegradedClusterError(
-            f"write to {self._pool.name}/{name} failed after "
-            f"{params.retry_max_attempts} attempts") from last_error
-
-    def _dispatch_write(self, acting: List[int], name: str,
-                        txn: WriteTransaction, object_size_hint: int,
-                        snap_seq: int, snap_ids: Tuple[int, ...],
-                        payload: int) -> float:
-        """One dispatch attempt against the acting set; returns OSD-side
-        latency.  Raises :class:`OsdDownError` when a member dies mid-op
-        (the armed OSD-kill fault fires exactly here)."""
-        params = self._cluster.params
-        ledger = self._cluster.ledger
-        primary_id = acting[0]
-        primary = self._cluster.osd_by_id(primary_id)
-        primary_latency = primary.apply_transaction(
-            self._pool.name, name, txn, object_size_hint, snap_seq, snap_ids)
-        if osd_kill_due(STAGE_KILL_PRIMARY_MID_TXN, primary_id):
-            # The primary committed locally, then the daemon died before
-            # the op completed: no ack reaches the client, which must
-            # retry against the survivors (re-applying is idempotent).
-            self._cluster.mark_osd_down(primary_id)
-            raise OsdDownError(
-                f"osd.{primary_id} (primary) died mid-transaction")
-        replica_latencies = []
-        for osd_id in acting[1:]:
-            if osd_kill_due(STAGE_KILL_REPLICA_MID_TXN, osd_id):
-                self._cluster.mark_osd_down(osd_id)
-            osd = self._cluster.osd_by_id(osd_id)
-            latency = osd.apply_transaction(
-                self._pool.name, name, txn, object_size_hint, snap_seq,
-                snap_ids)
-            replica_latencies.append(params.replication_hop_us + latency)
-            ledger.busy(RES_CLUSTER_NET, params.cluster_transfer_us(payload))
-            ledger.count("net.replication_bytes", payload)
-        # The op acks when the slowest acting replica has committed.
-        return max([primary_latency] + replica_latencies)
-
-    # -- erasure-coded write path ------------------------------------------------
-
-    def _operate_write_ec(self, name: str, txn: WriteTransaction,
-                          object_size_hint: int) -> OpReceipt:
-        """Apply a transaction to an erasure-coded object.
-
-        The client is the EC "primary": it reassembles the current stripe
-        if the transaction needs a read-modify-write, applies the data ops
-        to the logical buffer, re-encodes, and commits one chunk per
-        acting shard as a single atomic multi-chunk transaction (all
-        shards ack or the attempt retries).  Metadata ops ride on every
-        shard so OMAP/xattrs stay readable from any single survivor.
-        """
-        params = self._cluster.params
-        ledger = self._cluster.ledger
-        pool = self._pool
-        codec = self._ec_codec
-        assert codec is not None
-        payload = txn.payload_bytes()
-        shard_hint = -(-object_size_hint // codec.k)
-
-        client_cpu_us, client_net_us = self._charge_client(payload)
-        client_us = client_cpu_us + client_net_us
-        snap_seq = self._snap_context.seq
-        snap_ids = self._snap_context.snaps
-
-        data_ops, meta_ops = self._ec_classify(txn)
-        removes = any(isinstance(op, OpRemove) for op in data_ops)
-        # The stripe (RMW read + encode) is prepared exactly once per
-        # logical write: a retry after a mid-stripe kill re-commits the
-        # *same* chunks idempotently — it must never read back the
-        # half-committed stripe the failed attempt left behind.
-        stripe: Optional[Tuple[Optional[List[bytes]], int]] = None
-        stripe_read_us = 0.0
-
-        penalty_us = 0.0
-        last_error: Optional[OsdDownError] = None
-        for attempt in range(1, params.retry_max_attempts + 1):
-            if attempt > 1:
-                penalty_us += self._backoff_us(attempt - 1)
-                ledger.count("cluster.write_retries")
-            acting = self._acting_for(name)
-            if len(acting) < min(pool.min_size, pool.replica_count):
-                raise DegradedClusterError(
-                    f"write to {pool.name}/{name}: {len(acting)} of "
-                    f"{pool.replica_count} EC shards serving, below the "
-                    f"pool quorum (min_size={pool.min_size})")
-            if ledger.trace_ops:
-                ledger.take_osd_visits()
-            try:
-                if removes:
-                    osd_side, shard_bytes, shard_count = \
-                        self._dispatch_remove_ec(acting, name, shard_hint,
-                                                 snap_seq, snap_ids)
-                else:
-                    if stripe is None:
-                        stripe, stripe_read_us = self._ec_prepare_stripe(
-                            name, acting, data_ops, object_size_hint)
-                    osd_side, shard_bytes, shard_count = \
-                        self._dispatch_write_ec(
-                            acting, name, stripe[0], stripe[1], data_ops,
-                            meta_ops, shard_hint, snap_seq, snap_ids)
-            except OsdDownError as exc:
-                penalty_us += params.osd_timeout_us
-                ledger.count("cluster.osd_dispatch_timeouts")
-                last_error = exc
-                continue
             if len(acting) < pool.replica_count:
                 ledger.count("cluster.degraded_writes")
-                ledger.count("cluster.ec_degraded_writes")
             latency = (client_us + params.network_round_trip_us
-                       + stripe_read_us + osd_side + penalty_us)
+                       + prepare_us + commit_us + penalty_us)
             ledger.count("rados.client_write_ops")
             if ledger.trace_ops:
-                # The last shard_count visits are the chunk commits (any
-                # earlier ones are the RMW stripe read); chunks beyond
-                # the first ride the backend network like replica pushes.
+                # The OSD layer recorded one visit per OSD touched; the
+                # last len(acting) are the commits in dispatch order
+                # (anything earlier is the backend's own preparatory
+                # read).  Annotate the members after the first with their
+                # backend-network demands for the event engine.  Retry
+                # stalls ride the network latency term.
                 visits = ledger.take_osd_visits()
-                push_us = params.cluster_transfer_us(shard_bytes)
-                start = max(len(visits) - shard_count + 1, 0)
-                for visit in visits[start:]:
+                push_us = params.cluster_transfer_us(push_bytes)
+                for visit in visits[len(visits) - len(acting) + 1:]:
                     visit.hop_us = params.replication_hop_us
                     visit.push_us = push_us
                 ledger.record_op_trace(OpTrace(
@@ -403,227 +243,6 @@ class IoCtx:
             f"write to {pool.name}/{name} failed after "
             f"{params.retry_max_attempts} attempts") from last_error
 
-    def _ec_classify(self, txn: WriteTransaction,
-                     ) -> Tuple[List[object], List[object]]:
-        """Split a transaction into data ops (striped) and metadata ops
-        (replicated per shard); reject shapes the stripe path cannot make
-        atomic."""
-        data_ops = [op for op in txn.ops if isinstance(op, _EC_DATA_OPS)]
-        meta_ops = [op for op in txn.ops if isinstance(op, _EC_META_OPS)]
-        if len(data_ops) + len(meta_ops) != len(txn.ops):
-            unknown = [op for op in txn.ops
-                       if not isinstance(op, _EC_DATA_OPS + _EC_META_OPS)]
-            raise TransactionError(
-                f"unknown write op {unknown[0]!r} in EC pool transaction")
-        removes = [op for op in data_ops if isinstance(op, OpRemove)]
-        if removes and len(txn.ops) > len(removes):
-            raise TransactionError(
-                "OpRemove cannot be combined with other ops in an EC "
-                "pool transaction")
-        return data_ops, meta_ops
-
-    def _ec_peek_shards(self, acting: List[int], name: str,
-                        ) -> Tuple[bool, Dict[int, int], int]:
-        """Bookkeeping peek at the acting shards: does the stripe exist,
-        which recorded chunk index does each OSD hold, and the recorded
-        logical size."""
-        pool = self._pool
-        total = pool.replica_count
-        exists = False
-        recorded: Dict[int, int] = {}
-        logical_size = 0
-        for osd_id in acting:
-            obj = self._cluster.osd_by_id(osd_id).lookup(pool.name, name)
-            if obj is None:
-                continue
-            exists = True
-            index = parse_shard_index(obj.xattrs, total)
-            if index is not None:
-                recorded[osd_id] = index
-            logical_size = max(logical_size, parse_logical_size(obj.xattrs))
-        return exists, recorded, logical_size
-
-    def _ec_apply_data_ops(self, buf: bytearray, size: int,
-                           data_ops: List[object], region_limit: int,
-                           ) -> Tuple[bytearray, int]:
-        """Apply data ops to the logical stripe buffer, mirroring the OSD
-        device semantics exactly: OpZero discards bytes without moving the
-        object size, OpTruncate moves the size without touching bytes."""
-        for op in data_ops:
-            if isinstance(op, OpWrite):
-                if op.offset < 0:
-                    raise TransactionError("negative write offset")
-                end = op.offset + len(op.data)
-                if end > region_limit:
-                    raise TransactionError(
-                        f"write [{op.offset}, {end}) exceeds object "
-                        f"region {region_limit}")
-                if end > len(buf):
-                    buf.extend(bytes(end - len(buf)))
-                buf[op.offset:end] = op.data
-                size = max(size, end)
-            elif isinstance(op, OpWriteFull):
-                buf = bytearray(op.data)
-                size = len(op.data)
-            elif isinstance(op, OpZero):
-                if op.offset < 0 or op.length < 0:
-                    raise TransactionError("negative zero range")
-                end = op.offset + op.length
-                if end > len(buf):
-                    buf.extend(bytes(end - len(buf)))
-                buf[op.offset:end] = bytes(op.length)
-            elif isinstance(op, OpTruncate):
-                if op.size < 0:
-                    raise TransactionError("negative truncate size")
-                size = op.size
-        return buf, size
-
-    def _ec_prepare_stripe(self, name: str, acting: List[int],
-                           data_ops: List[object], object_size_hint: int,
-                           ) -> Tuple[Tuple[Optional[List[bytes]], int], float]:
-        """Build the chunks one stripe commit will write: peek the current
-        shard state, reassemble the stripe if the transaction needs a
-        read-modify-write (real reads — the EC write amplification the
-        cost model must see), apply the data ops to the logical buffer,
-        and encode.  Returns ((chunks-or-None, logical size), read µs)."""
-        params = self._cluster.params
-        ledger = self._cluster.ledger
-        pool = self._pool
-        codec = self._ec_codec
-        assert codec is not None
-
-        exists, _recorded, logical_size = self._ec_peek_shards(acting, name)
-        for op in data_ops:
-            if isinstance(op, OpCreate) and op.exclusive and exists:
-                raise TransactionError(
-                    f"object {pool.name}/{name} already exists "
-                    f"(exclusive create)")
-
-        mutating = [op for op in data_ops if not isinstance(op, OpCreate)]
-        needs_rmw = exists and any(
-            isinstance(op, (OpWrite, OpZero, OpTruncate)) for op in mutating)
-        buf = bytearray()
-        size = 0
-        read_latency = 0.0
-        if needs_rmw:
-            stripe = self._ec_read_stripe(name, None)
-            buf = bytearray(stripe.padded)
-            size = stripe.size
-            read_latency = stripe.latency_us
-            ledger.count("cluster.ec_rmw_reads")
-        elif exists:
-            size = logical_size
-
-        region_limit = (object_size_hint
-                        + self._cluster.config.object_region_reserve)
-        buf, size = self._ec_apply_data_ops(buf, size, data_ops, region_limit)
-
-        chunks: Optional[List[bytes]] = None
-        if mutating:
-            chunks = codec.encode(bytes(buf))
-            stripe_bytes = len(chunks[0]) * pool.replica_count
-            ledger.busy(RES_CLIENT_CPU,
-                        params.ec_encode_cost_us_per_kib * stripe_bytes / 1024.0)
-            ledger.count("ec.encode_bytes", stripe_bytes)
-            ledger.count("ec.stripe_writes")
-        return (chunks, size), read_latency
-
-    def _dispatch_write_ec(self, acting: List[int], name: str,
-                           chunks: Optional[List[bytes]], size: int,
-                           data_ops: List[object], meta_ops: List[object],
-                           shard_hint: int, snap_seq: int,
-                           snap_ids: Tuple[int, ...],
-                           ) -> Tuple[float, int, int]:
-        """One stripe-commit attempt; returns (OSD-side latency, bytes per
-        shard, shards committed).  Raises :class:`OsdDownError` when a
-        chunk OSD dies mid-stripe-transaction (the armed EC kill fires
-        exactly here)."""
-        params = self._cluster.params
-        ledger = self._cluster.ledger
-        pool = self._pool
-        total = pool.replica_count
-
-        # Shard identity comes from the recorded indices (never from the
-        # up-set position): re-peek each attempt so a retried commit
-        # re-applies the same chunk to any shard that already took it.
-        _exists, recorded, _logical = self._ec_peek_shards(acting, name)
-        assignment = assign_shard_indices(total, recorded, acting)
-        size_value = str(size).encode("ascii")
-        latencies: List[float] = []
-        shard_payload = 0
-        for position, osd_id in enumerate(acting):
-            shard_txn = WriteTransaction()
-            for op in data_ops:
-                if isinstance(op, OpCreate):
-                    shard_txn.ops.append(op)
-            if chunks is not None:
-                shard_txn.write_full(chunks[assignment[osd_id]])
-            shard_txn.ops.extend(meta_ops)
-            shard_txn.set_xattr(EC_SHARD_XATTR,
-                                str(assignment[osd_id]).encode("ascii"))
-            shard_txn.set_xattr(EC_SIZE_XATTR, size_value)
-            shard_payload = shard_txn.payload_bytes()
-            osd = self._cluster.osd_by_id(osd_id)
-            latency = osd.apply_transaction(pool.name, name, shard_txn,
-                                            shard_hint, snap_seq, snap_ids)
-            if osd_kill_due(STAGE_KILL_EC_SHARD_MID_TXN, osd_id):
-                # The shard committed locally, then its daemon died before
-                # the stripe acked: the client retries against the
-                # survivors (re-applying the stripe is idempotent).
-                self._cluster.mark_osd_down(osd_id)
-                raise OsdDownError(
-                    f"osd.{osd_id} (EC shard {assignment[osd_id]}) died "
-                    f"mid-stripe-transaction")
-            latencies.append(latency if position == 0
-                             else params.replication_hop_us + latency)
-            ledger.busy(RES_CLUSTER_NET,
-                        params.cluster_transfer_us(shard_payload))
-            ledger.count("net.ec_shard_bytes", shard_payload)
-        self._equalize_ec_versions(acting, name)
-        # Chunk commits proceed in parallel after the (serial) RMW read.
-        return (max(latencies), shard_payload, len(acting))
-
-    def _dispatch_remove_ec(self, acting: List[int], name: str,
-                            shard_hint: int, snap_seq: int,
-                            snap_ids: Tuple[int, ...],
-                            ) -> Tuple[float, int, int]:
-        """Delete every shard of an EC object (one remove per shard)."""
-        params = self._cluster.params
-        ledger = self._cluster.ledger
-        latencies: List[float] = []
-        for position, osd_id in enumerate(acting):
-            osd = self._cluster.osd_by_id(osd_id)
-            latency = osd.apply_transaction(
-                self._pool.name, name, WriteTransaction().remove(),
-                shard_hint, snap_seq, snap_ids)
-            if osd_kill_due(STAGE_KILL_EC_SHARD_MID_TXN, osd_id):
-                self._cluster.mark_osd_down(osd_id)
-                raise OsdDownError(
-                    f"osd.{osd_id} (EC shard) died mid-stripe-transaction")
-            latencies.append(latency if position == 0
-                             else params.replication_hop_us + latency)
-            ledger.count("net.ec_shard_bytes", 0)
-        self._equalize_ec_versions(acting, name)
-        return (max(latencies), 0, len(acting))
-
-    def _equalize_ec_versions(self, acting: List[int], name: str) -> None:
-        """One stripe transaction = one version.
-
-        A retried stripe commit bumps the surviving shards' versions past
-        the freshly-written ones; EC repair needs *k* sources at a single
-        authoritative version, so after the commit acks every shard is
-        stamped with the stripe's max version (real EC pools log one pg
-        version for the whole stripe).
-        """
-        pool_name = self._pool.name
-        objs = [obj for osd_id in acting
-                if (obj := self._cluster.osd_by_id(osd_id)
-                    .objects.get((pool_name, name))) is not None]
-        if objs:
-            stripe_version = max(obj.version for obj in objs)
-            for obj in objs:
-                obj.version = stripe_version
-
     def remove_object(self, name: str) -> OpReceipt:
         """Delete an object on every replica."""
         txn = WriteTransaction().remove()
@@ -632,149 +251,17 @@ class IoCtx:
     # -- read path ---------------------------------------------------------------------
 
     def operate_read(self, name: str, readop: ReadOperation) -> ReadResult:
-        """Execute a read operation, failing over through the acting set.
+        """Execute a read operation against the acting set.
 
-        The primary serves the healthy path; when it is down (or lost the
-        object to an earlier outage) the read fails over to the next
-        acting replica — a *degraded read*, bit-identical to the healthy
-        one because replication is synchronous.  Only when no acting
-        replica holds the object does the client give up:
-        :class:`~repro.errors.ObjectNotFoundError` if every replica
-        answered "no such object" (the normal sparse-read signal),
-        :class:`~repro.errors.DegradedClusterError` if replicas are simply
-        unreachable after retry and backoff.
+        The pool backend serves one attempt (failing over through the
+        acting set; a *degraded read* is bit-identical to the healthy
+        one).  An attempt that finds a member dead costs one timeout and
+        is retried under backoff.  The client gives up with
+        :class:`~repro.errors.ObjectNotFoundError` if every acting member
+        answered "no such object" (the normal sparse-read signal) and
+        :class:`~repro.errors.DegradedClusterError` if too few members
+        are reachable or the retries run out.
         """
-        if self._ec_codec is not None:
-            return self._operate_read_ec(name, readop)
-        params = self._cluster.params
-        ledger = self._cluster.ledger
-        penalty_us = 0.0
-        last_down: Optional[OsdDownError] = None
-        for attempt in range(1, params.retry_max_attempts + 1):
-            if attempt > 1:
-                penalty_us += self._backoff_us(attempt - 1)
-                ledger.count("cluster.read_retries")
-            up_set = self._up_set_for(name)
-            acting = [osd_id for osd_id in up_set
-                      if self._cluster.osd_by_id(osd_id).serving]
-            if not acting:
-                raise DegradedClusterError(
-                    f"read of {self._pool.name}/{name}: no acting replica "
-                    f"(up set {up_set})") from last_down
-            not_found = 0
-            dispatch_failed = False
-            for osd_id in acting:
-                osd = self._cluster.osd_by_id(osd_id)
-                try:
-                    results, osd_latency = osd.execute_read(
-                        self._pool.name, name, readop, self._read_snap)
-                except OsdDownError as exc:
-                    penalty_us += params.osd_timeout_us
-                    ledger.count("cluster.osd_dispatch_timeouts")
-                    last_down = exc
-                    dispatch_failed = True
-                    continue
-                except ObjectNotFoundError:
-                    # This replica never got the object (it was down or
-                    # newly mapped when the object was written): fail
-                    # over — only if *every* replica agrees is the object
-                    # genuinely absent.
-                    not_found += 1
-                    continue
-                if osd_id != up_set[0]:
-                    # Served by someone other than the CRUSH primary: a
-                    # degraded read (the bytes are identical — replication
-                    # is synchronous — which the failure drill asserts).
-                    ledger.count("cluster.degraded_reads")
-                return self._finish_read(results, osd_latency, penalty_us,
-                                         retries=attempt - 1)
-            if not_found == len(acting):
-                raise ObjectNotFoundError(
-                    f"object {self._pool.name}/{name} not found on any "
-                    f"acting replica {acting}")
-            if not dispatch_failed:
-                break
-        raise DegradedClusterError(
-            f"read of {self._pool.name}/{name} failed after "
-            f"{params.retry_max_attempts} attempts") from last_down
-
-    # -- erasure-coded read path -------------------------------------------------
-
-    def _ec_read_stripe(self, name: str, snap_id: Optional[int]) -> _EcStripe:
-        """Fetch and reassemble one EC stripe from its shards.
-
-        The healthy path reads the ``k`` data chunks (recorded shard
-        indices ``0..k-1``) and concatenates them — no GF(256) math at
-        all.  When a data chunk's OSD is down, any ``k`` surviving chunks
-        reconstruct the stripe by matrix inversion; such reads count
-        ``cluster.ec_degraded_reads`` and stay bit-identical to the
-        healthy read, which the equivalence suite asserts through the
-        full encrypted path.
-        """
-        pool = self._pool
-        codec = self._ec_codec
-        assert codec is not None
-        cluster = self._cluster
-        ledger = cluster.ledger
-        params = cluster.params
-        up_set = self._up_set_for(name)
-        acting = [osd_id for osd_id in up_set
-                  if cluster.osd_by_id(osd_id).serving]
-        if not acting:
-            raise DegradedClusterError(
-                f"read of {pool.name}/{name}: no acting EC shard "
-                f"(up set {up_set})")
-        # Bookkeeping peek: which chunk index does each reachable shard
-        # hold (recorded per shard — never positional).
-        holders: Dict[int, Tuple[int, int]] = {}
-        size = 0
-        found = 0
-        for osd_id in acting:
-            obj = cluster.osd_by_id(osd_id).lookup(pool.name, name)
-            if obj is None:
-                continue
-            clone = obj.clone_for_snap(snap_id) if snap_id is not None else None
-            xattrs = clone.xattrs if clone is not None else obj.xattrs
-            chunk_size = clone.size if clone is not None else obj.size
-            found += 1
-            index = parse_shard_index(xattrs, pool.replica_count)
-            if index is None or index in holders:
-                continue
-            holders[index] = (osd_id, chunk_size)
-            size = max(size, parse_logical_size(xattrs))
-        if found == 0:
-            raise ObjectNotFoundError(
-                f"object {pool.name}/{name} not found on any acting "
-                f"EC shard {acting}")
-        if len(holders) < codec.k:
-            raise DegradedClusterError(
-                f"read of {pool.name}/{name}: only {len(holders)} of "
-                f"{codec.k} required EC chunks reachable (up set {up_set})")
-        # Prefer data chunks; fall back to parity in index order.
-        chosen = sorted(holders)[:codec.k]
-        shards: Dict[int, bytes] = {}
-        latencies: List[float] = []
-        for index in chosen:
-            osd_id, chunk_size = holders[index]
-            osd = cluster.osd_by_id(osd_id)
-            results, latency = osd.execute_read(
-                pool.name, name, ReadOperation().read(0, chunk_size), snap_id)
-            shards[index] = results[0].data
-            latencies.append(latency)
-        decoded = chosen != list(range(codec.k))
-        padded = codec.decode(shards)
-        stripe_us = max(latencies) if latencies else 0.0
-        if decoded:
-            decode_us = params.ec_decode_cost_us_per_kib * len(padded) / 1024.0
-            ledger.busy(RES_CLIENT_CPU, decode_us)
-            stripe_us += decode_us
-            ledger.count("ec.decode_bytes", len(padded))
-            ledger.count("cluster.ec_degraded_reads")
-        return _EcStripe(padded=padded, size=size, latency_us=stripe_us,
-                         decoded=decoded)
-
-    def _operate_read_ec(self, name: str, readop: ReadOperation) -> ReadResult:
-        """Execute a read operation against an erasure-coded object."""
         params = self._cluster.params
         ledger = self._cluster.ledger
         penalty_us = 0.0
@@ -784,7 +271,8 @@ class IoCtx:
                 penalty_us += self._backoff_us(attempt - 1)
                 ledger.count("cluster.read_retries")
             try:
-                results, osd_latency = self._dispatch_read_ec(name, readop)
+                results, osd_latency = self._backend.read(name, readop,
+                                                          self._read_snap)
             except OsdDownError as exc:
                 penalty_us += params.osd_timeout_us
                 ledger.count("cluster.osd_dispatch_timeouts")
@@ -795,83 +283,6 @@ class IoCtx:
         raise DegradedClusterError(
             f"read of {self._pool.name}/{name} failed after "
             f"{params.retry_max_attempts} attempts") from last_down
-
-    def _dispatch_read_ec(self, name: str, readop: ReadOperation,
-                          ) -> Tuple[List[OpResult], float]:
-        """One EC read attempt: extent reads reassemble the stripe;
-        stat/xattr/OMAP ops go to a single shard (metadata is replicated
-        on every shard, and OpStat translates to the recorded logical-size
-        xattr because a shard's own size is a chunk length)."""
-        pool = self._pool
-        snap = self._read_snap
-        latencies: List[float] = []
-        stripe: Optional[_EcStripe] = None
-        if any(isinstance(op, OpRead) for op in readop.ops):
-            stripe = self._ec_read_stripe(name, snap)
-            latencies.append(stripe.latency_us)
-
-        # Metadata ops (including translated stats) for the shard read.
-        meta_positions: List[int] = []
-        meta_op = ReadOperation()
-        for position, op in enumerate(readop.ops):
-            if isinstance(op, (OpGetXattr, OpOmapGetValsByKeys,
-                               OpOmapGetValsByRange)):
-                meta_positions.append(position)
-                meta_op.ops.append(op)
-            elif isinstance(op, OpStat):
-                meta_positions.append(position)
-                meta_op.ops.append(OpGetXattr(EC_SIZE_XATTR))
-        meta_results: List[OpResult] = []
-        if meta_op.ops:
-            meta_results, meta_latency = self._ec_meta_read(name, meta_op, snap)
-            latencies.append(meta_latency)
-
-        results: List[OpResult] = []
-        meta_iter = iter(meta_results)
-        for position, op in enumerate(readop.ops):
-            if isinstance(op, OpRead):
-                assert stripe is not None
-                data = stripe.padded[op.offset:op.offset + op.length]
-                if len(data) < op.length:
-                    # Unwritten device region: reads return zeros.
-                    data = data + bytes(op.length - len(data))
-                results.append(OpResult(data=data))
-            elif isinstance(op, OpStat):
-                raw = next(meta_iter).xattr
-                results.append(OpResult(
-                    size=parse_logical_size({EC_SIZE_XATTR: raw})
-                    if raw is not None else 0))
-            elif position in meta_positions:
-                results.append(next(meta_iter))
-            else:
-                raise TransactionError(
-                    f"unknown read op {op!r} in EC pool read")
-        return results, max(latencies) if latencies else 0.0
-
-    def _ec_meta_read(self, name: str, meta_op: ReadOperation,
-                      snap_id: Optional[int],
-                      ) -> Tuple[List[OpResult], float]:
-        """Serve metadata reads from the first acting shard holding the
-        object, failing over down the acting set like a replicated read."""
-        pool = self._pool
-        up_set = self._up_set_for(name)
-        acting = [osd_id for osd_id in up_set
-                  if self._cluster.osd_by_id(osd_id).serving]
-        if not acting:
-            raise DegradedClusterError(
-                f"read of {pool.name}/{name}: no acting EC shard "
-                f"(up set {up_set})")
-        not_found = 0
-        for osd_id in acting:
-            osd = self._cluster.osd_by_id(osd_id)
-            try:
-                return osd.execute_read(pool.name, name, meta_op, snap_id)
-            except ObjectNotFoundError:
-                not_found += 1
-                continue
-        raise ObjectNotFoundError(
-            f"object {pool.name}/{name} not found on any acting "
-            f"EC shard {acting}")
 
     def _finish_read(self, results: List[OpResult], osd_latency: float,
                      penalty_us: float, retries: int = 0) -> ReadResult:

@@ -26,7 +26,7 @@ counter clients use to notice that acting sets must be recomputed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .ec import EcProfile
 from .osd import OSD
@@ -35,6 +35,9 @@ from ..errors import ConfigurationError, PoolNotFoundError
 from ..sim.costparams import CostParameters, default_cost_parameters
 from ..sim.ledger import CostLedger
 from ..util import GIB
+
+if TYPE_CHECKING:
+    from .backend import PoolBackend
 
 
 @dataclass
@@ -104,6 +107,12 @@ class Pool:
         """Human-readable pool shape (used by mismatch errors)."""
         return f"replicated x{self.replica_count}"
 
+    def backend(self, cluster: "Cluster") -> "PoolBackend":
+        """The object-layout backend of this pool type — the one place a
+        pool's kind selects behaviour (see :mod:`repro.rados.backend`)."""
+        from .backend import ReplicatedBackend
+        return ReplicatedBackend(cluster, self)
+
     def new_snapshot_id(self) -> int:
         """Allocate a new self-managed snapshot id."""
         self.snap_seq += 1
@@ -140,6 +149,10 @@ class EcPool(Pool):
 
     def shape(self) -> str:
         return f"ec {self.k}+{self.m} (min_size={self.min_size})"
+
+    def backend(self, cluster: "Cluster") -> "PoolBackend":
+        from .ec_backend import EcBackend
+        return EcBackend(cluster, self)
 
 
 class Cluster:

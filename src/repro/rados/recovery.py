@@ -28,31 +28,17 @@ Once no backfill work remains, every up OSD is consistent and any
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
+from .backend import BackfillItem, ReplicaMismatch, pool_object_names
 from .cluster import Cluster
-from .ec import (EC_SHARD_XATTR, ec_codec, parse_shard_index)
-from .object import CloneInfo, RadosObject
 from .osd import OSD
-from .transaction import ReadOperation, WriteTransaction
 from ..faults.plan import STAGE_KILL_DURING_BACKFILL, osd_kill_due
-from ..obs.names import KIND_BACKFILL, KIND_EC_REPAIR
-from ..sim.ledger import OpTrace, RES_CLUSTER_NET, RES_OSD_CPU
 
 #: upper bound on peer/push passes one :func:`backfill` call runs; each
 #: pass handles everything the previous one exposed, so two passes
 #: suffice unless faults keep killing OSDs mid-push.
 MAX_BACKFILL_PASSES = 8
-
-
-@dataclass
-class BackfillItem:
-    """One object that needs pushes: authoritative source -> stale targets."""
-
-    name: str
-    source_osd: int
-    version: int
-    targets: List[int] = field(default_factory=list)
 
 
 @dataclass
@@ -90,27 +76,6 @@ class RecoveryReport:
         return self.unfound_objects == 0
 
 
-@dataclass
-class ReplicaMismatch:
-    """One inconsistency found by :func:`verify_replica_consistency`."""
-
-    name: str
-    osd_id: int
-    reason: str
-
-
-def _pool_object_names(cluster: Cluster, pool: str) -> List[str]:
-    """Every object name any OSD has ever held in the pool (union),
-    including removed ones — a lagging replica may still need the
-    remove propagated to it."""
-    names: Set[str] = set()
-    for osd in cluster.osds:
-        for (obj_pool, name) in osd.objects:
-            if obj_pool == pool:
-                names.add(name)
-    return sorted(names)
-
-
 def _replica_state(osd: OSD, pool: str,
                    name: str) -> Optional[Tuple[int, bool]]:
     """(version, exists) of the replica on ``osd`` or None if never held."""
@@ -129,7 +94,7 @@ def peer(cluster: Cluster, pool: str) -> PeeringReport:
     """
     pool_obj = cluster.get_pool(pool)
     report = PeeringReport(pool=pool)
-    for name in _pool_object_names(cluster, pool):
+    for name in pool_object_names(cluster, pool):
         report.objects_examined += 1
         up_set = cluster.up_set(pool, name)
         # Find the authoritative copy among live holders anywhere (an
@@ -175,254 +140,6 @@ def peer(cluster: Cluster, pool: str) -> PeeringReport:
     return report
 
 
-def _push_object(cluster: Cluster, pool: str, item: BackfillItem,
-                 target_id: int) -> Tuple[int, float]:
-    """Push one object from its authoritative source to one target.
-
-    Returns (payload bytes, push latency µs).  The push is real traffic:
-    a read on the source, a throttled transfer on the backend network, a
-    committed transaction on the target — visible to both performance
-    models.
-    """
-    params = cluster.params
-    ledger = cluster.ledger
-    source = cluster.osd_by_id(item.source_osd)
-    target = cluster.osd_by_id(target_id)
-    src_obj = source.objects[(pool, item.name)]
-
-    # Fixed scan/bookkeeping CPU of one push, half on each end.
-    ledger.busy(RES_OSD_CPU, params.recovery_op_cost_us)
-
-    if not src_obj.exists:
-        # Propagate the delete to the lagging replica.
-        latency = target.apply_transaction(
-            pool, item.name, WriteTransaction().remove(),
-            object_size_hint=src_obj.region_length
-            - target.object_region_reserve)
-        tgt_obj = target.objects[(pool, item.name)]
-        tgt_obj.version = src_obj.version
-        tgt_obj.snap_seq_seen = src_obj.snap_seq_seen
-        if ledger.trace_ops:
-            ledger.record_op_trace(OpTrace(
-                kind=KIND_BACKFILL, client_cpu_us=params.recovery_op_cost_us,
-                client_net_us=0.0,
-                network_us=params.replication_hop_us,
-                visits=ledger.take_osd_visits(), bytes_moved=0))
-        return 0, params.recovery_op_cost_us + latency
-
-    # Read the full object (data + OMAP) off the source — a real read.
-    readop = ReadOperation().read(0, src_obj.size) \
-                            .omap_get_vals_by_range(b"", b"\xff")
-    results, read_latency = source.execute_read(pool, item.name, readop, None)
-    data = results[0].data
-    omap = results[1].kv
-
-    # The payload crosses the backend network at the recovery throttle.
-    payload = len(data) + sum(len(k) + len(v) for k, v in omap.items())
-    transfer_us = payload / (params.recovery_bandwidth_mbps
-                             * 1024 * 1024) * 1e6
-    ledger.busy(RES_CLUSTER_NET, transfer_us)
-    ledger.count("net.recovery_bytes", payload)
-
-    # Commit the state on the target as one real transaction: clear any
-    # stale OMAP residue, replace the body, reinstate OMAP and xattrs.
-    txn = WriteTransaction().omap_rm_range(b"", b"\xff")
-    txn.write_full(data)
-    if omap:
-        txn.omap_set_keys(omap)
-    for xattr_name, value in sorted(src_obj.xattrs.items()):
-        txn.set_xattr(xattr_name, value)
-    hint = src_obj.region_length - target.object_region_reserve
-    write_latency = target.apply_transaction(pool, item.name, txn,
-                                             object_size_hint=hint)
-
-    # Bookkeeping the transaction cannot express: snapshot clones move by
-    # reference (COW extents), and the replica adopts the authoritative
-    # version instead of the bump the push transaction just made.
-    tgt_obj = target.objects[(pool, item.name)]
-    tgt_obj.clones = [CloneInfo(snap_ids=set(c.snap_ids), data=c.data,
-                                size=c.size, omap=dict(c.omap),
-                                xattrs=dict(c.xattrs))
-                      for c in src_obj.clones]
-    tgt_obj.snap_seq_seen = src_obj.snap_seq_seen
-    tgt_obj.size = src_obj.size
-    tgt_obj.version = src_obj.version
-
-    latency = (params.recovery_op_cost_us + read_latency + transfer_us
-               + params.replication_hop_us + write_latency)
-    if ledger.trace_ops:
-        # The source read + target write recorded one visit each; the
-        # transfer rides the network term.  kind=KIND_BACKFILL flows through
-        # both event engines as ordinary traffic contending with clients.
-        ledger.record_op_trace(OpTrace(
-            kind=KIND_BACKFILL, client_cpu_us=params.recovery_op_cost_us,
-                client_net_us=0.0,
-            network_us=transfer_us + params.replication_hop_us,
-            visits=ledger.take_osd_visits(), bytes_moved=payload))
-    return payload, latency
-
-
-def _push_ec_shard(cluster: Cluster, pool: str, item: BackfillItem,
-                   target_id: int) -> Optional[Tuple[int, float]]:
-    """Reconstruct one lost/stale EC chunk onto ``target_id``.
-
-    The repair reads ``k`` surviving chunks at the authoritative version
-    (real reads), decodes the stripe, re-encodes exactly the chunk the
-    target should hold, and commits it as a real transaction — so an EC
-    repair storm moves ``k`` times the chunk payload through devices and
-    network, the asymmetry the paper's recovery model cares about.
-    Returns (payload bytes, push latency µs), or ``None`` when fewer than
-    ``k`` chunks survive at that version (unrecoverable this pass).
-    """
-    params = cluster.params
-    ledger = cluster.ledger
-    pool_obj = cluster.get_pool(pool)
-    codec = ec_codec(pool_obj.k, pool_obj.m)  # type: ignore[attr-defined]
-    total = pool_obj.replica_count
-    target = cluster.osd_by_id(target_id)
-
-    # Survivors: up holders of the authoritative version with a valid
-    # recorded chunk index (shard identity is never positional).
-    sources: dict = {}
-    for osd in cluster.osds:
-        if not osd.up or osd.osd_id == target_id:
-            continue
-        obj = osd.objects.get((pool, item.name))
-        if obj is None or not obj.exists or obj.version != item.version:
-            continue
-        index = parse_shard_index(obj.xattrs, total)
-        if index is None or index in sources:
-            continue
-        sources[index] = osd
-    if len(sources) < codec.k:
-        ledger.count("recovery.ec_unrecoverable")
-        return None
-
-    # Which chunk should the target hold?  Reuse its own recorded index
-    # when no consistent up-set member claims it, else the first free one.
-    claimed = set()
-    for osd_id in cluster.up_set(pool, item.name):
-        if osd_id == target_id:
-            continue
-        osd = cluster.osd_by_id(osd_id)
-        obj = osd.objects.get((pool, item.name))
-        if obj is None or not obj.exists or obj.version != item.version:
-            continue
-        index = parse_shard_index(obj.xattrs, total)
-        if index is not None:
-            claimed.add(index)
-    tgt_old = target.objects.get((pool, item.name))
-    target_index = (parse_shard_index(tgt_old.xattrs, total)
-                    if tgt_old is not None else None)
-    if target_index is None or target_index in claimed:
-        free = [index for index in range(total) if index not in claimed]
-        if not free:
-            ledger.count("recovery.ec_unrecoverable")
-            return None
-        target_index = free[0]
-
-    ledger.busy(RES_OSD_CPU, params.recovery_op_cost_us)
-
-    # Read k surviving chunks (real reads, in parallel) plus the OMAP off
-    # the first survivor — metadata is replicated on every shard.
-    chosen = sorted(sources)[:codec.k]
-    shards: dict = {}
-    read_latencies: List[float] = []
-    omap: dict = {}
-    ref_obj: Optional[RadosObject] = None
-    for position, index in enumerate(chosen):
-        source = sources[index]
-        src_obj = source.objects[(pool, item.name)]
-        readop = ReadOperation().read(0, src_obj.size)
-        if position == 0:
-            readop.omap_get_vals_by_range(b"", b"\xff")
-            ref_obj = src_obj
-        results, latency = source.execute_read(pool, item.name, readop, None)
-        shards[index] = results[0].data
-        if position == 0:
-            omap = results[1].kv
-        read_latencies.append(latency)
-    assert ref_obj is not None
-
-    # Decode the stripe, re-encode the target's chunk; charged as OSD CPU
-    # (repair runs on the shards, not the client).
-    padded = codec.decode(shards)
-    chunk = codec.reconstruct(shards, target_index)
-    ledger.busy(RES_OSD_CPU,
-                params.ec_decode_cost_us_per_kib * len(padded) / 1024.0
-                + params.ec_encode_cost_us_per_kib * len(chunk) / 1024.0)
-
-    payload = len(chunk) + sum(len(k) + len(v) for k, v in omap.items())
-    transfer_us = payload / (params.recovery_bandwidth_mbps
-                             * 1024 * 1024) * 1e6
-    ledger.busy(RES_CLUSTER_NET, transfer_us)
-    ledger.count("net.recovery_bytes", payload)
-
-    txn = WriteTransaction().omap_rm_range(b"", b"\xff")
-    txn.write_full(chunk)
-    if omap:
-        txn.omap_set_keys(omap)
-    for xattr_name, value in sorted(ref_obj.xattrs.items()):
-        if xattr_name != EC_SHARD_XATTR:
-            txn.set_xattr(xattr_name, value)
-    txn.set_xattr(EC_SHARD_XATTR, str(target_index).encode("ascii"))
-    hint = ref_obj.region_length - target.object_region_reserve
-    write_latency = target.apply_transaction(pool, item.name, txn,
-                                             object_size_hint=hint)
-
-    # Snapshot clones are reconstructed the same way, per clone, from the
-    # survivors' parallel clone histories (bookkeeping, not data-path IO).
-    tgt_obj = target.objects[(pool, item.name)]
-    tgt_obj.clones = _reconstruct_ec_clones(codec, total, sources, chosen,
-                                            ref_obj, target_index)
-    tgt_obj.snap_seq_seen = ref_obj.snap_seq_seen
-    tgt_obj.version = item.version
-
-    latency = (params.recovery_op_cost_us + max(read_latencies) + transfer_us
-               + params.replication_hop_us + write_latency)
-    ledger.count("recovery.ec_objects_repaired")
-    ledger.count("recovery.ec_bytes_repaired", payload)
-    if ledger.trace_ops:
-        ledger.record_op_trace(OpTrace(
-            kind=KIND_EC_REPAIR, client_cpu_us=params.recovery_op_cost_us,
-            client_net_us=0.0,
-            network_us=transfer_us + params.replication_hop_us,
-            visits=ledger.take_osd_visits(), bytes_moved=payload))
-    return payload, latency
-
-
-def _reconstruct_ec_clones(codec, total: int, sources: dict,
-                           chosen: List[int], ref_obj: RadosObject,
-                           target_index: int) -> List[CloneInfo]:
-    """Rebuild the target's snapshot-clone chunks from the survivors'
-    clone histories (positionally parallel: replicated snap contexts
-    append clones in the same order on every shard)."""
-    clones: List[CloneInfo] = []
-    for position, ref_clone in enumerate(ref_obj.clones):
-        clone_shards: dict = {}
-        for index in chosen:
-            src_obj = sources[index].objects[(ref_obj.pool, ref_obj.name)]
-            if position >= len(src_obj.clones):
-                break
-            clone = src_obj.clones[position]
-            clone_index = parse_shard_index(clone.xattrs, total)
-            if clone_index is None or clone_index in clone_shards:
-                continue
-            clone_shards[clone_index] = clone.data
-        if len(clone_shards) < codec.k:
-            # Defensive: mismatched clone histories — skip rather than
-            # fabricate (deep scrub does not compare clones).
-            continue
-        chunk = codec.reconstruct(clone_shards, target_index)
-        xattrs = {name: value for name, value in ref_clone.xattrs.items()
-                  if name != EC_SHARD_XATTR}
-        xattrs[EC_SHARD_XATTR] = str(target_index).encode("ascii")
-        clones.append(CloneInfo(snap_ids=set(ref_clone.snap_ids),
-                                data=chunk, size=len(chunk),
-                                omap=dict(ref_clone.omap), xattrs=xattrs))
-    return clones
-
-
 def backfill(cluster: Cluster, pool: str) -> RecoveryReport:
     """Drive ``pool`` back to full redundancy; returns what moved.
 
@@ -433,7 +150,7 @@ def backfill(cluster: Cluster, pool: str) -> RecoveryReport:
     call (after the victim restarts) finishes the job.
     """
     ledger = cluster.ledger
-    pool_obj = cluster.get_pool(pool)
+    backend = cluster.get_pool(pool).backend(cluster)
     report = RecoveryReport(pool=pool)
     for _ in range(MAX_BACKFILL_PASSES):
         peering = peer(cluster, pool)
@@ -452,16 +169,11 @@ def backfill(cluster: Cluster, pool: str) -> RecoveryReport:
             source = cluster.osd_by_id(item.source_osd)
             if not target.up or not source.up:
                 continue
-            if pool_obj.is_ec and source.objects[(pool, item.name)].exists:
-                # EC repair: reconstruct the target's chunk from k
-                # survivors (tombstones propagate like replicated ones).
-                pushed = _push_ec_shard(cluster, pool, item, target_id)
-                if pushed is None:
-                    continue
-                payload, latency = pushed
-            else:
-                payload, latency = _push_object(cluster, pool, item,
-                                                target_id)
+            pushed = backend.push(item, target_id)
+            if pushed is None:
+                # Too few survivors to rebuild this member this pass.
+                continue
+            payload, latency = pushed
             report.objects_pushed += 1
             report.bytes_pushed += payload
             report.push_latency_us += latency
@@ -495,147 +207,9 @@ def verify_replica_consistency(cluster: Cluster,
 
     This is the failure-equivalence oracle's final check: after the
     drill's recovery, no replica may disagree with the authoritative
-    copy in any observable way.  Erasure-coded pools scrub differently —
-    shards hold *different* bytes by design, so the check decodes the
-    stripe and re-encodes every held chunk instead of comparing raw
-    bytes (see :func:`_verify_ec_consistency`).
+    copy in any observable way.  What "agree" means is the pool
+    backend's: replicas compare raw bytes, erasure-coded shards hold
+    *different* bytes by design and are checked by decoding the stripe
+    and re-encoding every held chunk.
     """
-    if cluster.get_pool(pool).is_ec:
-        return _verify_ec_consistency(cluster, pool)
-    mismatches: List[ReplicaMismatch] = []
-    for name in _pool_object_names(cluster, pool):
-        up_set = cluster.up_set(pool, name)
-        replicas: List[Tuple[OSD, RadosObject]] = []
-        for osd_id in up_set:
-            osd = cluster.osd_by_id(osd_id)
-            obj = osd.objects.get((pool, name))
-            if obj is None or not obj.exists:
-                continue
-            replicas.append((osd, obj))
-        if not replicas:
-            continue
-        reference_osd, reference = max(replicas,
-                                       key=lambda pair: pair[1].version)
-        ref_bytes = reference_osd._read_head_bytes(reference)
-        ref_omap = reference_osd._snapshot_omap(reference)
-        for osd_id in up_set:
-            osd = cluster.osd_by_id(osd_id)
-            obj = osd.objects.get((pool, name))
-            if obj is None or not obj.exists:
-                mismatches.append(ReplicaMismatch(
-                    name=name, osd_id=osd_id, reason="replica missing"))
-                continue
-            if obj.version != reference.version:
-                mismatches.append(ReplicaMismatch(
-                    name=name, osd_id=osd_id,
-                    reason=f"version {obj.version} != {reference.version}"))
-                continue
-            if obj.size != reference.size:
-                mismatches.append(ReplicaMismatch(
-                    name=name, osd_id=osd_id,
-                    reason=f"size {obj.size} != {reference.size}"))
-                continue
-            if osd._read_head_bytes(obj) != ref_bytes:
-                mismatches.append(ReplicaMismatch(
-                    name=name, osd_id=osd_id, reason="data bytes differ"))
-                continue
-            if osd._snapshot_omap(obj) != ref_omap:
-                mismatches.append(ReplicaMismatch(
-                    name=name, osd_id=osd_id, reason="OMAP differs"))
-                continue
-            if obj.xattrs != reference.xattrs:
-                mismatches.append(ReplicaMismatch(
-                    name=name, osd_id=osd_id, reason="xattrs differ"))
-    return mismatches
-
-
-def _verify_ec_consistency(cluster: Cluster,
-                           pool: str) -> List[ReplicaMismatch]:
-    """Deep-scrub an erasure-coded pool.
-
-    Per stripe: every up-set shard must hold the authoritative version,
-    identical metadata (OMAP, user xattrs, recorded logical size) and a
-    *distinct in-range* chunk index; at least ``k`` chunks of equal
-    length must survive; and decoding the stripe then re-encoding it must
-    reproduce every held chunk bit-exactly (the MDS self-check — a
-    corrupt parity chunk cannot hide behind a healthy systematic read).
-    """
-    pool_obj = cluster.get_pool(pool)
-    codec = ec_codec(pool_obj.k, pool_obj.m)  # type: ignore[attr-defined]
-    total = pool_obj.replica_count
-    mismatches: List[ReplicaMismatch] = []
-    for name in _pool_object_names(cluster, pool):
-        up_set = cluster.up_set(pool, name)
-        shards: List[Tuple[OSD, RadosObject]] = []
-        for osd_id in up_set:
-            osd = cluster.osd_by_id(osd_id)
-            obj = osd.objects.get((pool, name))
-            if obj is None or not obj.exists:
-                continue
-            shards.append((osd, obj))
-        if not shards:
-            continue
-        ref_osd, reference = max(shards, key=lambda pair: pair[1].version)
-        ref_meta = {key: value for key, value in reference.xattrs.items()
-                    if key != EC_SHARD_XATTR}
-        ref_omap = ref_osd._snapshot_omap(reference)
-        seen_indices: dict = {}
-        chunk_bytes: dict = {}
-        for osd_id in up_set:
-            osd = cluster.osd_by_id(osd_id)
-            obj = osd.objects.get((pool, name))
-            if obj is None or not obj.exists:
-                mismatches.append(ReplicaMismatch(
-                    name=name, osd_id=osd_id, reason="shard missing"))
-                continue
-            if obj.version != reference.version:
-                mismatches.append(ReplicaMismatch(
-                    name=name, osd_id=osd_id,
-                    reason=f"version {obj.version} != {reference.version}"))
-                continue
-            index = parse_shard_index(obj.xattrs, total)
-            if index is None:
-                mismatches.append(ReplicaMismatch(
-                    name=name, osd_id=osd_id,
-                    reason="missing/invalid chunk index"))
-                continue
-            if index in seen_indices:
-                mismatches.append(ReplicaMismatch(
-                    name=name, osd_id=osd_id,
-                    reason=f"duplicate chunk index {index} "
-                           f"(also on osd.{seen_indices[index]})"))
-                continue
-            seen_indices[index] = osd_id
-            meta = {key: value for key, value in obj.xattrs.items()
-                    if key != EC_SHARD_XATTR}
-            if meta != ref_meta:
-                mismatches.append(ReplicaMismatch(
-                    name=name, osd_id=osd_id, reason="xattrs differ"))
-                continue
-            if osd._snapshot_omap(obj) != ref_omap:
-                mismatches.append(ReplicaMismatch(
-                    name=name, osd_id=osd_id, reason="OMAP differs"))
-                continue
-            chunk_bytes[index] = osd._read_head_bytes(obj)
-        if not chunk_bytes:
-            continue
-        lengths = {len(chunk) for chunk in chunk_bytes.values()}
-        if len(lengths) > 1:
-            mismatches.append(ReplicaMismatch(
-                name=name, osd_id=seen_indices[min(chunk_bytes)],
-                reason=f"chunk lengths differ: {sorted(lengths)}"))
-            continue
-        if len(chunk_bytes) < codec.k:
-            mismatches.append(ReplicaMismatch(
-                name=name, osd_id=up_set[0] if up_set else -1,
-                reason=f"only {len(chunk_bytes)} of {codec.k} chunks "
-                       f"present — stripe unrecoverable"))
-            continue
-        padded = codec.decode(chunk_bytes)
-        expected = codec.encode(padded)
-        for index, chunk in sorted(chunk_bytes.items()):
-            if chunk != expected[index]:
-                mismatches.append(ReplicaMismatch(
-                    name=name, osd_id=seen_indices[index],
-                    reason=f"chunk {index} differs from re-encoded stripe"))
-    return mismatches
+    return cluster.get_pool(pool).backend(cluster).scrub()

@@ -271,12 +271,12 @@ class Image:
         Per-object pieces are zero-copy views of the caller's buffer; the
         dispatcher materialises bytes when it builds the RADOS transaction.
         """
-        self.check_io(offset, len(data))
-        if not len(data):
-            return OpReceipt()
         view = as_readonly_view(data)
+        self.check_io(offset, len(view))
+        if not len(view):
+            return OpReceipt()
         combined: Optional[OpReceipt] = None
-        for extent in map_extent(offset, len(data), self._header.object_size):
+        for extent in map_extent(offset, len(view), self._header.object_size):
             piece = view[extent.buffer_offset:extent.buffer_offset + extent.length]
             receipt = self._dispatcher.write(extent.object_no, extent.offset, piece)
             combined = _merge_parallel(combined, receipt)
@@ -313,11 +313,11 @@ class Image:
         """
         per_object: Dict[int, List[Tuple[int, memoryview]]] = {}
         for offset, data in extents:
-            self.check_io(offset, len(data))
-            if not len(data):
-                continue
             view = as_readonly_view(data)
-            for extent in map_extent(offset, len(data), self._header.object_size):
+            self.check_io(offset, len(view))
+            if not len(view):
+                continue
+            for extent in map_extent(offset, len(view), self._header.object_size):
                 piece = view[extent.buffer_offset:extent.buffer_offset + extent.length]
                 per_object.setdefault(extent.object_no, []).append(
                     (extent.offset, piece))

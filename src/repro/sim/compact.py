@@ -142,7 +142,7 @@ def encode_stream(ops: Sequence[ClientOpTrace]) -> CompactStream:
         raise ConfigurationError(
             f"unknown OpTrace kind(s) {unknown}; declared kinds: "
             f"{list(OP_KINDS)} (repro.obs.names.OP_KINDS)") from None
-    trace_retries = np.fromiter((getattr(t, "retries", 0) for t in traces),
+    trace_retries = np.fromiter((t.retries for t in traces),
                                 dtype=np.int64, count=len(traces))
     trace_visit_start = np.zeros(len(traces) + 1, dtype=np.int64)
     np.cumsum(np.fromiter((len(t.visits) for t in traces), dtype=np.int64,

@@ -209,8 +209,7 @@ class ClusterScheduler:
 
             def done() -> None:
                 self._tracer.rados_op(client.index, trace.kind, now,
-                                      self.loop.now,
-                                      getattr(trace, "retries", 0))
+                                      self.loop.now, trace.retries)
                 inner_done()
         half_rtt = trace.network_us / 2.0
         arrival = transfer.end_us + half_rtt
@@ -365,8 +364,7 @@ def simulate_client_ops(params: CostParameters,
     for equivalence comparisons.  A scheduler replays exactly one run;
     this builds fresh state every call.
     """
-    engine = getattr(params, "event_engine", "legacy")
-    if engine == "legacy":
+    if params.event_engine == "legacy":
         return ClusterScheduler(params, tracer).run(streams, queue_depth)
     from .fleet import simulate_closed_loop
     return simulate_closed_loop(params, streams, queue_depth, tracer=tracer)

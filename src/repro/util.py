@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Sequence, Tuple
 
+from .errors import RbdError
+
 KIB = 1024
 MIB = 1024 * KIB
 GIB = 1024 * MIB
@@ -64,13 +66,21 @@ def bounded_cache_get(cache: dict, key, factory, max_entries: int = 16):
 
 
 def as_readonly_view(data) -> memoryview:
-    """Wrap any bytes-like object in a read-only :class:`memoryview`.
+    """Wrap any bytes-like object in a read-only *byte* :class:`memoryview`.
 
     Slicing the result never copies, and downstream layers cannot mutate
     the caller's buffer through it — the contract the zero-copy write path
-    (pipeline -> striping -> codec -> transaction) relies on.
+    (pipeline -> striping -> codec -> transaction) relies on.  The view is
+    flattened to one byte per item, so ``len()`` of the result is the
+    number of bytes an I/O moves whatever the caller's item size
+    (``array('I')``, ``memoryview.cast('H')``); a non-contiguous buffer
+    cannot be flattened without a copy and is refused.
     """
     view = memoryview(data)
+    if not view.contiguous:
+        raise RbdError("I/O buffers must be contiguous")
+    if view.format != "B" or view.ndim != 1:
+        view = view.cast("B")
     return view if view.readonly else view.toreadonly()
 
 

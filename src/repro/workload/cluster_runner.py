@@ -105,7 +105,7 @@ class ClusterWorkloadRunner:
     @property
     def sim_mode(self) -> str:
         """Which performance model converts the run into elapsed time."""
-        return getattr(self._cluster.params, "sim_mode", "analytic")
+        return self._cluster.params.sim_mode
 
     def run(self, images: Sequence[Image], spec: WorkloadSpec,
             layout_name: Optional[str] = None) -> ClusterWorkloadResult:
