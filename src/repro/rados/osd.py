@@ -183,15 +183,9 @@ class OSD:
     def _read_head_bytes(self, obj: RadosObject) -> bytes:
         if obj.size == 0:
             return b""
-        # Snapshot preservation is bookkeeping, not an IO on the data path;
-        # read the bytes without charging device time (COW in BlueStore clones
-        # extents by reference).
-        saved_ledger = self.data_device.ledger
-        self.data_device.ledger = None
-        try:
-            return self.data_device.read(obj.region_offset, obj.size).data
-        finally:
-            self.data_device.ledger = saved_ledger
+        # Snapshot preservation is bookkeeping, not an IO on the data path
+        # (COW in BlueStore clones extents by reference).
+        return self.data_device.peek(obj.region_offset, obj.size)
 
     def _snapshot_omap(self, obj: RadosObject) -> Dict[bytes, bytes]:
         prefix = obj.omap_prefix()

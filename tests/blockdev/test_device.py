@@ -1,11 +1,13 @@
 """Tests for the simulated block device."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.blockdev.device import SimulatedDisk
+from repro.blockdev.device import EXTENT_BYTES, SimulatedDisk
 from repro.blockdev.trace import IOTrace
-from repro.errors import OutOfRangeError
+from repro.errors import DeviceError, OutOfRangeError
 from repro.sim.costparams import CostParameters
 from repro.sim.ledger import CostLedger, RES_OSD_DEVICE
 
@@ -78,6 +80,113 @@ class TestFunctionalBehaviour:
         disk.discard(0, 4096)
         assert disk.allocated_sectors() == 1
 
+    def test_zero_length_discard_at_unaligned_offset_stores_nothing(self):
+        """`discard(100, 0)` used to allocate the sector around byte 100,
+        which fed the exact metric ``model.space_amp``; it still counts
+        and costs like any discard."""
+        ledger = CostLedger()
+        disk = make_disk(capacity=8192, ledger=ledger)
+        result = disk.discard(100, 0)
+        assert disk.allocated_sectors() == 0
+        assert disk.used_bytes() == 0
+        assert disk.stats.discards == 1
+        assert ledger.counter("device.discards") == 1
+        assert result.latency_us == disk.params.device_write_latency_us
+
+    def test_partial_discard_allocates_the_sector_it_rewrites(self):
+        disk = make_disk()
+        disk.discard(5000, 100)
+        assert disk.allocated_sectors() == 1
+        disk.discard(4096, 4096)
+        assert disk.allocated_sectors() == 0
+
+    def test_discard_over_holes_releases_every_allocated_run(self):
+        """Written runs separated by never-written sectors, across an
+        extent boundary, under one discard with partial first/last sectors."""
+        disk = make_disk(capacity=16 * 1024 * 1024)
+        sector, extent = 4096, EXTENT_BYTES
+        for start, count in ((1, 1), (3, 2), (9, 1), (extent // sector - 1, 2),
+                             (extent // sector + 6, 1)):
+            disk.write(start * sector, b"\xaa" * (count * sector))
+        assert disk.allocated_sectors() == 7
+        disk.discard(sector + 10, extent + 5 * sector)  # ends 10 B into the last run
+        assert disk.allocated_sectors() == 2            # the two partial ends
+        assert disk.read(sector, 10).data == b"\xaa" * 10
+        assert disk.read(sector + 10, extent + 5 * sector).data == bytes(
+            extent + 5 * sector)
+        assert disk.read(extent + 6 * sector + 10, 6).data == b"\xaa" * 6
+
+    def test_peek_returns_stored_bytes_without_accounting(self):
+        ledger = CostLedger()
+        trace = IOTrace()
+        disk = make_disk(ledger=ledger, trace=trace)
+        disk.write(4000, b"Z" * 200)
+        stats, counters = disk.stats.as_dict(), dict(ledger.counters)
+        busy = dict(ledger.resource_us)
+        assert disk.peek(3990, 220) == bytes(10) + b"Z" * 200 + bytes(10)
+        assert disk.peek(512 * 1024, 16) == bytes(16)
+        assert disk.stats.as_dict() == stats
+        assert ledger.counters == counters and ledger.resource_us == busy
+        assert len(trace) == 1
+        with pytest.raises(OutOfRangeError):
+            disk.peek(1024 * 1024 - 4, 8)
+
+WIDE_BUFFERS = {
+    "memoryview-H": lambda raw: memoryview(bytearray(raw)).cast("H"),
+    "memoryview-I": lambda raw: memoryview(bytearray(raw)).cast("I"),
+    "array-H": lambda raw: array("H", raw),
+    "array-I": lambda raw: array("I", raw),
+}
+
+@pytest.mark.parametrize("buffer", sorted(WIDE_BUFFERS))
+class TestWriteBuffersAreMeasuredInBytes:
+    """The device legs of ``tests/rbd/test_byte_length_buffers.py``: a
+    buffer whose item size is not 1 is bounds-checked, stored and
+    accounted by its byte length."""
+
+    def test_round_trip_and_accounting(self, buffer):
+        ledger = CostLedger()
+        disk = make_disk(ledger=ledger)
+        payload = bytes(range(256)) * 32            # 8192 bytes, 2 sectors
+        result = disk.write(4096, WIDE_BUFFERS[buffer](payload))
+        assert disk.read(4096, 8192).data == payload
+        assert result.sectors == 2
+        assert disk.stats.bytes_written == 8192
+        assert disk.stats.sectors_written == 2
+        assert ledger.counter("device.sectors_written") == 2
+        assert disk.allocated_sectors() == 2
+
+    def test_overflow_is_refused_and_stores_nothing(self, buffer):
+        disk = make_disk(capacity=8192)
+        with pytest.raises(OutOfRangeError):
+            disk.write(8188, WIDE_BUFFERS[buffer](bytes(8)))
+        assert disk.allocated_sectors() == 0
+        assert disk.stats.bytes_written == 0
+
+class TestWriteBufferErrorsAreTyped:
+    @pytest.mark.parametrize("bad", [None, 7, "text", [1, 2, 3]])
+    def test_non_buffer(self, bad):
+        disk = make_disk()
+        with pytest.raises(DeviceError):
+            disk.write(0, bad)
+        assert disk.stats.write_ops == 0
+
+    def test_non_contiguous_view(self):
+        disk = make_disk()
+        with pytest.raises(DeviceError):
+            disk.write(0, memoryview(bytes(64))[::2])
+        assert disk.allocated_sectors() == 0
+
+    def test_empty_wide_buffer_is_an_empty_write(self):
+        disk = make_disk()
+        assert disk.write(0, array("I")).sectors == 0
+        assert disk.allocated_sectors() == 0
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_byte_buffers_are_stored_as_given(self, wrap):
+        disk = make_disk()
+        disk.write(10, wrap(b"abc"))
+        assert disk.read(10, 3).data == b"abc"
 
 class TestCostAccounting:
     def test_aligned_write_has_no_rmw(self):
@@ -154,7 +263,6 @@ class TestCostAccounting:
         disk.write(0, b"no ledger")
         assert disk.read(0, 9).data == b"no ledger"
 
-
 class TestTrace:
     def test_operations_are_traced(self):
         trace = IOTrace()
@@ -183,7 +291,6 @@ class TestTrace:
     def test_invalid_limit(self):
         with pytest.raises(ValueError):
             IOTrace(limit=0)
-
 
 class TestProperties:
     @given(offset=st.integers(min_value=0, max_value=60_000),
