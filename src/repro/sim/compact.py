@@ -31,7 +31,7 @@ debugging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -175,6 +175,45 @@ def encode_streams(streams: Sequence[Sequence[ClientOpTrace]],
     """Encode one stream per client (accepts already-encoded streams)."""
     return [stream if isinstance(stream, CompactStream)
             else encode_stream(stream) for stream in streams]
+
+
+def distinct_by_identity(objects: Sequence[object],
+                         ) -> Tuple[List[object], np.ndarray]:
+    """The distinct objects of a sequence (by ``is``, first-seen order)
+    and each element's index among them.
+
+    Fleets are mostly repetition — a tiled fleet hands the same stream
+    object to many clients, and streams that differ share most of their
+    column arrays — so fleet-wide passes run over the distinct objects
+    and fan back out through the index.  The returned list keeps every
+    object alive, which is what makes ``id`` a sound key here.
+    """
+    slot: Dict[int, int] = {}
+    unique: List[object] = []
+    index: List[int] = []
+    for obj in objects:
+        key = id(obj)
+        found = slot.get(key)
+        if found is None:
+            found = slot[key] = len(unique)
+            unique.append(obj)
+        index.append(found)
+    return unique, np.array(index, dtype=np.int64)
+
+
+def column_table(streams: Sequence[CompactStream], name: str,
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Column ``name`` of every stream as one array, shared arrays once.
+
+    Returns ``(table, start)``: stream ``i``'s column is
+    ``table[start[i]:start[i] + len(column)]``.  Streams that share the
+    column array by identity share the slice, so the table of a tiled
+    fleet is the size of its template, not of the fleet.
+    """
+    arrays, which = distinct_by_identity(
+        [getattr(stream, name) for stream in streams])
+    sizes = np.array([len(array) for array in arrays], dtype=np.int64)
+    return np.concatenate(arrays), (np.cumsum(sizes) - sizes)[which]
 
 
 def tile_stream(stream: CompactStream, num_ops: int) -> CompactStream:

@@ -10,7 +10,10 @@ runs (1,000 clients, millions of requests) need on top of it:
   into sorted queue scans over numpy columns: a Lindley recursion per
   FIFO station (client CPU, client NIC, backend network, each OSD)
   instead of a per-event Python loop.  Multi-million-op runs finish in
-  wall-clock seconds.
+  wall-clock seconds.  The scans are batched *across* clients as well:
+  columns are read through tables of the fleet's distinct arrays and
+  the private client stations run as one matrix per distinct row width,
+  so nothing but attribute reads happens per client.
 * **Sharding** — clients (and the queues they drive) are partitioned
   into ``params.sim_shards`` independent contention domains, replayed
   separately and merged deterministically; ``params.sim_jobs`` worker
@@ -34,11 +37,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace as dc_replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compact import CompactStream, encode_stream, encode_streams, tile_stream
+from .compact import (CompactStream, column_table, distinct_by_identity,
+                      encode_stream, encode_streams, tile_stream)
 from .costparams import CostParameters
 from .ledger import ClientOpTrace
 from .replay import has_serial_chains, replay_closed_loop, replay_open_loop
@@ -58,17 +62,19 @@ __all__ = ["simulate_closed_loop", "simulate_fleet",
 
 def _fifo_scan(arrival: np.ndarray, service: np.ndarray,
                ) -> Tuple[np.ndarray, np.ndarray]:
-    """Start/end times of a single-server FIFO fed sorted arrivals.
+    """Start/end times of single-server FIFOs fed sorted arrivals.
 
     Lindley's recursion, vectorized: with inclusive service prefix sums
     ``S``, ``start[j] = S[j-1] + max_{k<=j}(arrival[k] - S[k-1])``, so
-    one cumsum and one running max replace the per-job loop.
+    one cumsum and one running max replace the per-job loop.  The scan
+    runs along the last axis: a vector is one queue, a matrix is one
+    independent queue per row.
     """
     if arrival.size == 0:
         return arrival.copy(), arrival.copy()
-    total = np.cumsum(service)
+    total = np.cumsum(service, axis=-1)
     before = total - service
-    start = np.maximum.accumulate(arrival - before) + before
+    start = np.maximum.accumulate(arrival - before, axis=-1) + before
     return start, start + service
 
 
@@ -79,6 +85,14 @@ def _group_arange(counts: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     starts = np.cumsum(counts) - counts
     return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+
+
+def _column_reader(streams: Sequence[CompactStream], name: str,
+                   ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``read(stream, index)``: element ``index[k]`` of column ``name`` of
+    ``streams[stream[k]]`` for every ``k``, as one gather."""
+    table, start = column_table(streams, name)
+    return lambda stream, index: table[start[stream] + index]
 
 
 def _empty_result(params: CostParameters, num_clients: int,
@@ -98,30 +112,36 @@ def _empty_result(params: CostParameters, num_clients: int,
 
 def _vectorized_open_loop(params: CostParameters,
                           streams: Sequence[CompactStream],
-                          arrivals_us: Sequence[np.ndarray],
-                          ) -> EventSimResult:
+                          schedule_us: np.ndarray) -> EventSimResult:
     """Open-loop replay as sorted queue scans (see module docstring).
 
-    Requires every op to carry at most one RADOS op and single-server
-    OSD queues; callers guarantee both.  Exactly equivalent to
-    :func:`~repro.sim.replay.replay_open_loop` on workloads with
-    distinct event timestamps (ties break by deterministic issue order
-    here and by event sequence numbers there).
+    ``schedule_us`` is the clients' arrival timestamps concatenated in
+    client order.  Requires every op to carry at most one RADOS op and
+    single-server OSD queues; callers guarantee both.  Exactly
+    equivalent to :func:`~repro.sim.replay.replay_open_loop` on workloads
+    with distinct event timestamps (ties break by deterministic issue
+    order here and by event sequence numbers there).
+
+    Nothing below loops over clients.  Columns are read through tables
+    of the fleet's *distinct* arrays, every fleet-wide column is in
+    (client, op[, visit]) order, and the private client stations run as
+    one matrix per distinct row width — never padded, never one long
+    scan with segment totals subtracted: either changes the last bit of
+    some result (``sum`` is pairwise, so its rounding depends on the row
+    length; ``(a + b) - a`` is not ``b``), and a row of a matrix rounds
+    exactly like the same numbers as a vector.
     """
     num_clients = len(streams)
-    ops_per_client = np.fromiter((s.num_ops for s in streams),
-                                 dtype=np.int64, count=num_clients)
+    shapes, shape_of = distinct_by_identity(streams)
+    ops_per_client = np.array([s.num_ops for s in shapes],
+                              dtype=np.int64)[shape_of]
     base = np.zeros(num_clients + 1, dtype=np.int64)
     np.cumsum(ops_per_client, out=base[1:])
     n_ops = int(base[-1])
     if n_ops == 0:
         return _empty_result(params, num_clients, open_loop=True)
 
-    g_T = np.concatenate([np.asarray(a, dtype=np.float64)
-                          for a in arrivals_us if len(a)]) \
-        if n_ops else np.zeros(0)
-    g_requests = np.concatenate([s.op_requests for s in streams
-                                 if s.num_ops])
+    g_T = schedule_us
     # Global issue order (T, client, op): the deterministic tie-break the
     # index machine realizes through event sequence numbers.
     g_client = np.repeat(np.arange(num_clients, dtype=np.int64),
@@ -130,68 +150,76 @@ def _vectorized_open_loop(params: CostParameters,
     order = np.lexsort((g_op, g_client, g_T))
     g_rank = np.empty(n_ops, dtype=np.int64)
     g_rank[order] = np.arange(n_ops, dtype=np.int64)
+    g_shape = shape_of[g_client]
+    g_requests = _column_reader(shapes, "op_requests")(g_shape, g_op)
 
     g_done = np.empty(n_ops, dtype=np.float64)
     g_half = np.zeros(n_ops, dtype=np.float64)
+    op_visits = np.zeros(n_ops, dtype=np.int64)
     cpu_busy = np.zeros(num_clients)
     net_busy = np.zeros(num_clients)
 
-    prim_parts: List[Tuple[np.ndarray, ...]] = []
-    rep_parts: List[Tuple[np.ndarray, ...]] = []
-    for c, stream in enumerate(streams):
-        if stream.num_ops == 0:
-            continue
-        T = g_T[base[c]:base[c + 1]]
-        g_ids = np.arange(base[c], base[c + 1], dtype=np.int64)
-        tpo = np.diff(stream.op_trace_start)
-        real = tpo > 0
-        # Zero-cost ops (sparse reads) complete at issue time.
-        g_done[g_ids[~real]] = T[~real]
-        if not real.any():
-            continue
-        t_idx = stream.op_trace_start[:-1][real]
-        cpu_svc = stream.trace_cpu_us[t_idx]
-        net_svc = stream.trace_net_us[t_idx]
-        _, cpu_end = _fifo_scan(T[real], cpu_svc)
-        _, net_end = _fifo_scan(cpu_end, net_svc)
-        cpu_busy[c] = float(cpu_svc.sum())
-        net_busy[c] = float(net_svc.sum())
-        half = stream.trace_rtt_us[t_idx] / 2.0
-        prim_arr = net_end + half
-        real_g = g_ids[real]
-        g_half[real_g] = half
-        vpt = np.diff(stream.trace_visit_start)[t_idx]
-        no_visit = vpt == 0
-        g_done[real_g[no_visit]] = prim_arr[no_visit] + half[no_visit]
-        has = vpt > 0
-        if not has.any():
-            continue
-        pv = stream.trace_visit_start[t_idx[has]]
-        prim_parts.append((
-            stream.visit_osd[pv], prim_arr[has],
-            stream.visit_service_us[pv], stream.visit_latency_us[pv],
-            real_g[has], g_rank[real_g[has]]))
-        rep_counts = vpt[has] - 1
-        if int(rep_counts.sum()) == 0:
-            continue
-        rep_idx = np.repeat(pv + 1, rep_counts) + _group_arange(rep_counts)
-        rep_parts.append((
-            stream.visit_osd[rep_idx],
-            np.repeat(prim_arr[has], rep_counts),
-            stream.visit_service_us[rep_idx],
-            stream.visit_latency_us[rep_idx],
-            np.repeat(real_g[has], rep_counts),
-            np.repeat(g_rank[real_g[has]], rep_counts),
-            _group_arange(rep_counts),
-            stream.visit_push_us[rep_idx],
-            stream.visit_hop_us[rep_idx]))
+    trace_start = _column_reader(shapes, "op_trace_start")
+    g_trace = trace_start(g_shape, g_op)
+    real = trace_start(g_shape, g_op + 1) > g_trace
+    # Zero-cost ops (sparse reads) complete at issue time.
+    g_done[~real] = g_T[~real]
+
+    # --- client stations: CPU then NIC, private to each client ---
+    real_g = np.flatnonzero(real)
+    r_shape, r_trace, r_T = g_shape[real_g], g_trace[real_g], g_T[real_g]
+    cpu_svc = _column_reader(shapes, "trace_cpu_us")(r_shape, r_trace)
+    net_svc = _column_reader(shapes, "trace_net_us")(r_shape, r_trace)
+    net_end = np.empty(real_g.size)
+    width = np.bincount(g_client[real_g], minlength=num_clients)
+    first = np.cumsum(width) - width
+    for w in np.unique(width[width > 0]).tolist():
+        rows = np.flatnonzero(width == w)
+        cell = first[rows][:, None] + np.arange(w)
+        cpu_rows, net_rows = cpu_svc[cell], net_svc[cell]
+        _, cpu_end = _fifo_scan(r_T[cell], cpu_rows)
+        _, net_end[cell] = _fifo_scan(cpu_end, net_rows)
+        cpu_busy[rows] = cpu_rows.sum(axis=1)
+        net_busy[rows] = net_rows.sum(axis=1)
+    half = _column_reader(shapes, "trace_rtt_us")(r_shape, r_trace) / 2.0
+    prim_arr = net_end + half
+    g_half[real_g] = half
+    visit_start = _column_reader(shapes, "trace_visit_start")
+    r_visit = visit_start(r_shape, r_trace)
+    vpt = visit_start(r_shape, r_trace + 1) - r_visit
+    op_visits[real_g] = vpt
+    no_visit = vpt == 0
+    g_done[real_g[no_visit]] = prim_arr[no_visit] + half[no_visit]
+
+    # --- primaries, then the replica fan-out of each ---
+    visit_osd = _column_reader(shapes, "visit_osd")
+    visit_svc = _column_reader(shapes, "visit_service_us")
+    visit_lat = _column_reader(shapes, "visit_latency_us")
+    has = np.flatnonzero(vpt)
+    p_shape, p_visit, p_arr, p_gop = (r_shape[has], r_visit[has],
+                                      prim_arr[has], real_g[has])
+    p_rank = g_rank[p_gop]
+    p_osd = visit_osd(p_shape, p_visit)
+    p_svc = visit_svc(p_shape, p_visit)
+    p_lat = visit_lat(p_shape, p_visit)
+    rep_counts = vpt[has] - 1
+    r_vrank = _group_arange(rep_counts)
+    rep_shape = np.repeat(p_shape, rep_counts)
+    rep_visit = np.repeat(p_visit + 1, rep_counts) + r_vrank
+    r_osd = visit_osd(rep_shape, rep_visit)
+    r_arr = np.repeat(p_arr, rep_counts)
+    r_svc = visit_svc(rep_shape, rep_visit)
+    r_lat = visit_lat(rep_shape, rep_visit)
+    r_gop = np.repeat(p_gop, rep_counts)
+    r_rank = np.repeat(p_rank, rep_counts)
+    r_push = _column_reader(shapes, "visit_push_us")(rep_shape, rep_visit)
+    r_hop = _column_reader(shapes, "visit_hop_us")(rep_shape, rep_visit)
 
     # --- backend network: every replica push through one shared queue ---
     cluster_busy = 0.0
     cluster_wait = 0.0
-    if rep_parts:
-        r_osd, r_arr, r_svc, r_lat, r_gop, r_rank, r_vrank, r_push, r_hop = (
-            np.concatenate([p[i] for p in rep_parts]) for i in range(9))
+    r_arrival = r_arr
+    if r_osd.size:
         net_order = np.lexsort((r_vrank, r_rank, r_arr))
         r_osd, r_arr, r_svc, r_lat, r_gop, r_rank, r_vrank, r_push, r_hop = (
             a[net_order] for a in (r_osd, r_arr, r_svc, r_lat, r_gop,
@@ -200,30 +228,21 @@ def _vectorized_open_loop(params: CostParameters,
         cluster_busy = float(r_push.sum())
         cluster_wait = float((push_start - r_arr).sum())
         r_arrival = push_end + r_hop
-    else:
-        r_osd = r_arrival = r_svc = r_lat = r_gop = r_rank = r_vrank = \
-            np.zeros(0, dtype=np.float64)
 
     # --- OSD queues: primaries and replicas, one sorted scan per OSD ---
-    if prim_parts:
-        p_osd, p_arr, p_svc, p_lat, p_gop, p_rank = (
-            np.concatenate([p[i] for p in prim_parts]) for i in range(6))
-    else:
-        p_osd = p_arr = p_svc = p_lat = p_gop = p_rank = np.zeros(0)
-    v_osd = np.concatenate([p_osd, r_osd]).astype(np.int64)
+    v_osd = np.concatenate([p_osd, r_osd])
     v_arr = np.concatenate([p_arr, r_arrival])
     v_svc = np.concatenate([p_svc, r_svc])
     v_lat = np.concatenate([p_lat, r_lat])
-    v_gop = np.concatenate([p_gop, r_gop]).astype(np.int64)
-    v_rank = np.concatenate([p_rank, r_rank]).astype(np.int64)
+    v_gop = np.concatenate([p_gop, r_gop])
+    v_rank = np.concatenate([p_rank, r_rank])
     # Within an op, the primary (visit rank 0) precedes replicas (1..).
     v_vrank = np.concatenate([np.zeros(p_osd.size, dtype=np.int64),
-                              r_vrank.astype(np.int64) + 1])
+                              r_vrank + 1])
 
     op_ack = np.full(n_ops, -np.inf)
     osd_busy: Dict[int, float] = {}
     osd_wait: Dict[int, float] = {}
-    events = 0
     if v_osd.size:
         osd_order = np.lexsort((v_vrank, v_rank, v_arr, v_osd))
         s_osd = v_osd[osd_order]
@@ -247,9 +266,6 @@ def _vectorized_open_loop(params: CostParameters,
     g_done[with_visits] = op_ack[with_visits] + g_half[with_visits]
 
     # --- statistics (same event count the index machine would fire) ---
-    op_visits = np.zeros(n_ops, dtype=np.int64)
-    if v_gop.size:
-        np.add.at(op_visits, v_gop, 1)
     events = int(np.where(op_visits > 0, 3 * op_visits + 1, 2).sum())
 
     latency = g_done - g_T
@@ -258,18 +274,13 @@ def _vectorized_open_loop(params: CostParameters,
     request_stats = LatencyReservoir()
     per_request = latency / g_requests
     request_stats.extend(per_request, weights=g_requests)
-    client_stats = []
-    for c in range(num_clients):
-        stats = LatencyReservoir(capacity=CLIENT_RESERVOIR_CAPACITY)
-        lo, hi = int(base[c]), int(base[c + 1])
-        if hi > lo:
-            stats.extend(per_request[lo:hi], weights=g_requests[lo:hi])
-        client_stats.append(stats)
+    client_stats = LatencyReservoir.from_segments(per_request, g_requests,
+                                                  base)
 
     elapsed = max(float(g_done.max()), 1e-6)
     resource_us = {
-        "client.cpu": float(cpu_busy.max()) if num_clients else 0.0,
-        "client.net": float(net_busy.max()) if num_clients else 0.0,
+        "client.cpu": float(cpu_busy.max()),
+        "client.net": float(net_busy.max()),
         "cluster.net": cluster_busy,
         "osd.work": max(osd_busy.values(), default=0.0),
     }
@@ -299,13 +310,25 @@ def _partition(num_clients: int, shards: int) -> List[Tuple[int, int]]:
 
 
 def _replay_shard(payload: tuple) -> EventSimResult:
-    """Advance one shard (module-level so worker processes can pickle it)."""
-    params, streams, mode, queue_depth, arrivals = payload
+    """Advance one shard (module-level so worker processes can pickle it).
+
+    Open-loop payloads carry the shard's arrival schedule concatenated in
+    client order; the index machine wants it per client again.
+    """
+    params, streams, mode, queue_depth, schedule = payload
     if mode == "closed":
         return replay_closed_loop(params, streams, queue_depth)
     if mode == "open-vectorized":
-        return _vectorized_open_loop(params, streams, arrivals)
-    return replay_open_loop(params, streams, arrivals)
+        return _vectorized_open_loop(params, streams, schedule)
+    return replay_open_loop(params, streams,
+                            _per_client(schedule, streams))
+
+
+def _per_client(schedule_us: np.ndarray, streams: Sequence[CompactStream],
+                ) -> List[np.ndarray]:
+    """Split a concatenated arrival schedule back into one view per client."""
+    ends = np.cumsum([stream.num_ops for stream in streams])
+    return np.split(schedule_us, ends[:-1])
 
 
 def _run_shards(params: CostParameters,
@@ -415,27 +438,70 @@ def simulate_fleet(params: CostParameters,
         raise ConfigurationError(
             "event simulation needs at least one traced operation "
             "(was ledger.trace_ops enabled during the run?)")
-    arrays: List[np.ndarray] = []
-    for c, (stream, arrivals) in enumerate(zip(compact, arrivals_us)):
-        arr = np.asarray(arrivals, dtype=np.float64)
-        if arr.size != stream.num_ops:
-            raise ConfigurationError(
-                f"client {c}: {arr.size} arrival timestamps for "
-                f"{stream.num_ops} operations")
-        if arr.size and bool(np.any(np.diff(arr) < 0)):
-            raise ConfigurationError(
-                "arrival timestamps must be sorted per client")
-        arrays.append(arr)
+    schedule, base = _checked_schedule(compact, arrivals_us)
     if tracer is not None:
-        return replay_open_loop(params, compact, arrays, tracer)
+        return replay_open_loop(params, compact,
+                                _per_client(schedule, compact), tracer)
     vectorized = (params.event_engine == "compact"
                   and params.osd_shards == 1
                   and not has_serial_chains(compact))
     mode = "open-vectorized" if vectorized else "open"
-    payloads = [(params, compact[lo:hi], mode, 0, arrays[lo:hi])
+    payloads = [(params, compact[lo:hi], mode, 0,
+                 schedule[base[lo]:base[hi]])
                 for lo, hi in _partition(len(compact), params.sim_shards)]
     return _merge_results(params, _run_shards(params, payloads),
                           open_loop=True)
+
+
+def _checked_schedule(streams: Sequence[CompactStream],
+                      arrivals_us: Sequence[Sequence[float]],
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate a fleet's inputs; return the arrival schedule concatenated
+    in client order and each client's offset into it.
+
+    Every check runs on fleet-wide columns (one pass whatever the client
+    count) and before an engine is chosen, so the vectorized scans, the
+    index machine and a traced run reject the same inputs the same way.
+    """
+    shapes, shape_of = distinct_by_identity(streams)
+    if int(column_table(shapes, "op_requests")[0].min()) <= 0:
+        raise ConfigurationError(
+            "every operation must complete at least one request "
+            "(ClientOpTrace.requests must be positive)")
+    ops_per_client = np.array([s.num_ops for s in shapes],
+                              dtype=np.int64)[shape_of]
+    try:
+        sizes = np.fromiter(map(len, arrivals_us), dtype=np.int64,
+                            count=len(streams))
+        schedule = np.asarray(np.concatenate(list(arrivals_us)),
+                              dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            "arrival timestamps must be one flat numeric sequence per "
+            f"client ({exc})") from None
+    wrong = np.flatnonzero(sizes != ops_per_client)
+    if wrong.size:
+        c = int(wrong[0])
+        raise ConfigurationError(
+            f"client {c}: {sizes[c]} arrival timestamps for "
+            f"{ops_per_client[c]} operations")
+    if schedule.ndim != 1:
+        raise ConfigurationError(
+            "arrival timestamps must be one flat numeric sequence per "
+            f"client (got {schedule.ndim} dimensions)")
+    if not np.isfinite(schedule).all():
+        raise ConfigurationError("arrival timestamps must be finite")
+    base = np.zeros(len(streams) + 1, dtype=np.int64)
+    np.cumsum(ops_per_client, out=base[1:])
+    gaps = np.diff(schedule)
+    # the step from one client's last arrival to the next client's first
+    # is not a gap (empty clients put their boundary on a neighbour's)
+    edges = base[1:-1]
+    gaps[edges[(edges > 0) & (edges < schedule.size)] - 1] = 0.0
+    if (gaps < 0).any():
+        raise ConfigurationError(
+            "arrival timestamps must be sorted per client")
+    return schedule, base
 
 
 def fleet_streams_from_template(template, num_clients: int,
@@ -449,11 +515,16 @@ def fleet_streams_from_template(template, num_clients: int,
     replaying the capture per client.  With ``osd_count``, client ``i``'s
     OSD placement rotates by ``i`` modulo the cluster size, spreading the
     fleet across OSDs while keeping primaries and replicas distinct.
-    All non-placement columns are shared between clients (zero copies).
+    All non-placement columns are shared between clients (zero copies),
+    and clients with the same rotation (``i`` and ``i + osd_count``)
+    share one stream object, which the replay engine de-duplicates on.
     """
-    if num_clients <= 0 or ops_per_client <= 0:
-        raise ConfigurationError(
-            "fleet synthesis needs positive client and op counts")
+    for count in (num_clients, ops_per_client,
+                  1 if osd_count is None else osd_count):
+        if not isinstance(count, (int, np.integer)) or count <= 0:
+            raise ConfigurationError(
+                "fleet synthesis needs positive integer client, op and "
+                f"OSD counts (got {count!r})")
     if not isinstance(template, CompactStream):
         template = encode_stream(template)
     base = tile_stream(template, ops_per_client)
@@ -464,7 +535,9 @@ def fleet_streams_from_template(template, num_clients: int,
         raise ConfigurationError(
             f"osd_count={osd_count} cannot host template OSD ids up "
             f"to {top}")
-    return [base if i % osd_count == 0 else
-            dc_replace(base, visit_osd=(base.visit_osd + (i % osd_count))
-                       % osd_count)
-            for i in range(num_clients)]
+    # Client i and client i + osd_count get the same placement: build each
+    # rotation once and hand the same stream object to all its clients.
+    rotations = [base] + [
+        dc_replace(base, visit_osd=(base.visit_osd + shift) % osd_count)
+        for shift in range(1, min(num_clients, osd_count))]
+    return [rotations[i % osd_count] for i in range(num_clients)]

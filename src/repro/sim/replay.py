@@ -22,7 +22,9 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Sequence
 
-from .compact import CompactStream
+import numpy as np
+
+from .compact import CompactStream, distinct_by_identity
 from .costparams import CostParameters
 from .reservoir import CLIENT_RESERVOIR_CAPACITY, LatencyReservoir
 from .scheduler import EventSimResult, ServiceQueue
@@ -309,8 +311,14 @@ def replay_open_loop(params: CostParameters,
 
 
 def has_serial_chains(streams: Sequence[CompactStream]) -> bool:
-    """True if any op decomposes into more than one RADOS op (RMW)."""
-    return any(stream.max_traces_per_op > 1 for stream in streams)
+    """True if any op decomposes into more than one RADOS op (RMW).
+
+    Each distinct offset array is looked at once: the clients of a tiled
+    fleet share theirs, and this runs on every fleet replay.
+    """
+    offsets, _ = distinct_by_identity(
+        [stream.op_trace_start for stream in streams])
+    return any(np.diff(array).max(initial=0) > 1 for array in offsets)
 
 
 def total_ops(streams: Sequence[CompactStream]) -> int:

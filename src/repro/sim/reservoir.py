@@ -60,7 +60,14 @@ class LatencyReservoir:
         self.min_us = float("inf")
         self._sample: List[float] = []
         self._seed = seed
-        self._rng = random.Random(seed)
+        #: acceptance RNG, built on the first draw: a population that fits
+        #: the sample never draws, and a fleet keeps 1,000 of these
+        self._rng: Optional[random.Random] = None
+
+    def _acceptance_rng(self) -> random.Random:
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+        return self._rng
 
     # -- recording -------------------------------------------------------------
 
@@ -85,7 +92,7 @@ class LatencyReservoir:
             if len(self._sample) < self.capacity:
                 self._sample.append(value_us)
             else:
-                slot = self._rng.randrange(self.count)
+                slot = self._acceptance_rng().randrange(self.count)
                 if slot < self.capacity:
                     self._sample[slot] = value_us
 
@@ -146,7 +153,7 @@ class LatencyReservoir:
             return
         # Item with 0-based global index n replaces a random slot with
         # probability capacity / (n + 1) — Algorithm R, vectorized.
-        rng = np.random.default_rng(self._rng.randrange(2 ** 63))
+        rng = np.random.default_rng(self._acceptance_rng().randrange(2 ** 63))
         if weights is None:
             population = np.arange(start + fill + 1, self.count + 1)
             accept_p = self.capacity / population
@@ -160,6 +167,66 @@ class LatencyReservoir:
             slots = rng.integers(0, self.capacity, size=accepted.size)
             for slot, value in zip(slots.tolist(), accepted.tolist()):
                 self._sample[slot] = value
+
+    @classmethod
+    def from_segments(cls, values_us, weights, offsets,
+                      capacity: int = CLIENT_RESERVOIR_CAPACITY,
+                      ) -> List["LatencyReservoir"]:
+        """One reservoir per segment of a weighted latency column.
+
+        Segment ``i`` is ``[offsets[i], offsets[i + 1])``; its reservoir
+        equals, field for field and in every later RNG draw, what
+        ``cls(capacity).extend(values_us[lo:hi], weights=weights[lo:hi])``
+        builds (an empty segment stays a fresh reservoir).  This is how
+        the vectorized replay fills its per-client reservoirs: counts,
+        extremes and samples of all segments come from a fixed number of
+        whole-column numpy calls.  What stays per segment is ``sum_us``
+        — ``extend`` computes it with a BLAS dot product, whose rounding
+        no batched reduction reproduces — and any segment whose
+        population exceeds ``capacity``, which goes through ``extend``
+        itself so the acceptance draws are the same.
+        """
+        import numpy as np
+
+        values = np.asarray(values_us, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if values.ndim != 1 or weights.shape != values.shape:
+            raise ValueError("weights must match values in shape")
+        if weights.size and int(weights.min()) <= 0:
+            raise ValueError("weights must be positive")
+        out = [cls(capacity=capacity) for _ in range(len(offsets) - 1)]
+        sizes = np.diff(offsets)
+        filled = np.flatnonzero(sizes)
+        if filled.size == 0:
+            return out
+        before = np.zeros(values.size + 1, dtype=np.int64)
+        np.cumsum(weights, out=before[1:])
+        population = before[offsets[1:]] - before[offsets[:-1]]
+        fits = population <= capacity
+        # Empty segments hold no values, so the filled ones tile the column.
+        low = np.minimum.reduceat(values, offsets[filled])
+        high = np.maximum.reduceat(values, offsets[filled])
+        # min(inf, x) and max(0.0, x) as Python evaluates them in extend
+        low = np.where(low < np.inf, low, np.inf).tolist()
+        high = np.where(high > 0.0, high, 0.0).tolist()
+        # Below capacity the sample is the whole population in order.
+        keep = np.repeat(fits, sizes)
+        kept = np.repeat(values[keep], weights[keep]).tolist()
+        kept_end = np.cumsum(np.where(fits, population, 0)).tolist()
+        weights_f = weights.astype(np.float64)
+        bounds = offsets.tolist()
+        population = population.tolist()
+        for rank, i in enumerate(filled.tolist()):
+            stats, lo, hi = out[i], bounds[i], bounds[i + 1]
+            if population[i] > capacity:
+                stats.extend(values[lo:hi], weights=weights[lo:hi])
+                continue
+            stats.count = population[i]
+            stats.sum_us += float(np.dot(values[lo:hi], weights_f[lo:hi]))
+            stats.min_us, stats.max_us = low[rank], high[rank]
+            stats._sample = kept[kept_end[i] - population[i]:kept_end[i]]
+        return out
 
     # -- reading ---------------------------------------------------------------
 

@@ -1,0 +1,314 @@
+#!/usr/bin/env python3
+"""Full-precision transcript of ``simulate_fleet`` over a seeded corpus.
+
+The fleet engines promise *bit-identical* modelled numbers across
+refactors, and every PR that touched them rebuilt the same proof by hand:
+drive the parent tree and the changed tree with the same inputs, print
+every result field with ``repr`` and compare.  This tool is that proof,
+kept::
+
+    git archive <parent-sha> | tar -x -C /root/scratch/parent
+    python tools/sim_transcript.py --src /root/scratch/parent/src --out parent.txt
+    python tools/sim_transcript.py --out change.txt
+    cmp parent.txt change.txt
+
+``--src`` names the ``src/`` directory whose ``repro`` package is driven
+(default: the one next to this file), so one copy of the tool exercises
+both trees.  The corpus, all of it derived from fixed seeds:
+
+* ``bench/...`` — the ``fleet_replay`` benchmark shape (a 4 KiB write and
+  a read template captured on the real data path, tiled to 1,000 rotated
+  clients x 50 ops on 64 OSDs, Poisson arrivals) for seeds 1-3, on one
+  shard and on four;
+* ``random/...`` — ragged synthetic fleets: 1-200 clients, 3-64 OSDs,
+  empty clients, stream objects shared between clients, copies that share
+  every column but ``visit_osd``, un-encoded op lists, list and array
+  arrivals, zero inter-arrival gaps, zero-cost and zero-visit ops,
+  ``requests`` > 1, per-client populations past
+  ``CLIENT_RESERVOIR_CAPACITY`` (so the reservoir RNG runs), and the
+  occasional serial chain or ``osd_shards=2`` that sends the replay to the
+  index machine; every twelfth fleet has no operation at all;
+* ``invalid/...`` — inputs ``simulate_fleet`` must reject, recorded as the
+  exception's type and message.
+
+Every record lists each ``EventSimResult`` field, the two run-wide
+reservoirs and every per-client reservoir (``capacity``, ``count``,
+``sum_us``, ``min_us``, ``max_us`` and the retained sample), all in
+``repr``.  Dicts print in insertion order.  Two runs on one tree are
+byte-identical (``tests/tools/test_sim_transcript.py``; CI
+``bench-smoke``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+import warnings
+from dataclasses import replace
+from pathlib import Path
+from typing import Callable, Iterator, List, Sequence, TextIO, Tuple
+
+MIB = 1 << 20
+BLOCK = 4096
+
+#: the corpus the command line writes (the test passes a smaller one)
+SEEDS = (1, 2, 3)
+CLIENTS, OPS_PER_CLIENT = 1000, 50
+RANDOM_FLEETS, MAX_CLIENTS = 120, 200
+
+#: a record: its name and a thunk returning the EventSimResult
+Record = Tuple[str, Callable[[], object]]
+
+
+# ---------------------------------------------------------------------------
+# formatting
+# ---------------------------------------------------------------------------
+
+def _reservoir_line(stats) -> str:
+    return (f"capacity={stats.capacity!r} count={stats.count!r} "
+            f"sum_us={stats.sum_us!r} min_us={stats.min_us!r} "
+            f"max_us={stats.max_us!r} sample={stats.sample!r}")
+
+
+def _write_result(out: TextIO, result) -> None:
+    for name in ("engine", "elapsed_us", "requests", "events_processed",
+                 "bounding_resource", "resource_us", "queue_wait_us"):
+        out.write(f"{name}={getattr(result, name)!r}\n")
+    out.write(f"op_stats: {_reservoir_line(result.op_stats)}\n")
+    out.write(f"request_stats: {_reservoir_line(result.request_stats)}\n")
+    for client, stats in enumerate(result.client_request_stats):
+        out.write(f"client[{client}]: {_reservoir_line(stats)}\n")
+
+
+def write_transcript(out: TextIO, records: Iterator[Record]) -> int:
+    """Run every record and write its outcome; returns the record count."""
+    count = 0
+    for name, thunk in records:
+        out.write(f"== {name} ==\n")
+        try:
+            with warnings.catch_warnings():
+                # invalid inputs make numpy warn on trees that accept them
+                warnings.simplefilter("ignore")
+                result = thunk()
+        except Exception as exc:    # the outcome *is* the record
+            out.write(f"error={type(exc).__name__}: {exc}\n")
+        else:
+            _write_result(out, result)
+        count += 1
+    return count
+
+
+# ---------------------------------------------------------------------------
+# corpus: the fleet_replay benchmark shape
+# ---------------------------------------------------------------------------
+
+def bench_records(seeds: Sequence[int], clients: int,
+                  ops_per_client: int) -> Iterator[Record]:
+    from repro import api
+    from repro.sim.compact import encode_stream
+    from repro.sim.costparams import default_cost_parameters
+    from repro.sim.fleet import fleet_streams_from_template, simulate_fleet
+    from repro.workload.arrival import PoissonArrivals, arrival_schedule
+    from repro.workload.runner import capture_template_stream
+    from repro.workload.spec import WorkloadSpec
+
+    osd_count, image_size = 64, 8 * MIB
+    for seed in seeds:
+        params = default_cost_parameters().with_overrides(
+            sim_mode="events", osd_count=osd_count, replica_count=3,
+            sim_shards=1, sim_jobs=1)
+        cluster = api.make_cluster(osd_count=osd_count, replica_count=3,
+                                   params=params)
+        image, _info = api.create_encrypted_image(
+            cluster, "fleet-template", image_size, b"fleet-template",
+            encryption_format="object-end", cipher_suite="blake2-xts-sim",
+            random_seed=f"sim-transcript-{seed}".encode())
+        chunk = random.Random(seed).randbytes(MIB)
+        for offset in range(0, image_size, MIB):
+            image.write(offset, chunk)
+        for kind in ("randwrite", "randread"):
+            spec = WorkloadSpec(name=f"fleet-{kind}", rw=kind, io_size=BLOCK,
+                                queue_depth=1, io_count=32, seed=seed)
+            template = encode_stream(
+                capture_template_stream(cluster, image, spec))
+            streams = fleet_streams_from_template(
+                template, clients, ops_per_client, osd_count=osd_count)
+            arrivals = arrival_schedule(
+                PoissonArrivals(rate_per_client=200.0, seed=seed),
+                [stream.num_ops for stream in streams])
+            for shards in (1, 4):
+                sharded = params.with_overrides(sim_shards=shards)
+                yield (f"bench/seed{seed}/{kind}/shards{shards}",
+                       lambda p=sharded, s=streams, a=arrivals:
+                       simulate_fleet(p, s, a))
+
+
+# ---------------------------------------------------------------------------
+# corpus: random ragged fleets
+# ---------------------------------------------------------------------------
+
+def _random_op(rng: random.Random, osds: int, replicas: int, chains: bool):
+    from repro.sim.ledger import ClientOpTrace, OpTrace, OsdVisit
+
+    requests = rng.choice((1, 1, 1, 2, 3, 16))
+    shape = rng.random()
+    if shape < 0.08:                          # zero-cost op (sparse read)
+        return ClientOpTrace(requests=requests, traces=[])
+
+    def trace(kind: str, fan_out: int) -> "OpTrace":
+        placement = rng.sample(range(osds), fan_out)
+        visits = [OsdVisit(osd_id=osd,
+                           service_us=rng.uniform(4.0, 30.0),
+                           latency_us=rng.uniform(20.0, 80.0),
+                           hop_us=rng.uniform(20.0, 60.0) if rank else 0.0,
+                           push_us=rng.uniform(0.5, 6.0) if rank else 0.0)
+                  for rank, osd in enumerate(placement)]
+        return OpTrace(kind=kind, client_cpu_us=rng.uniform(1.0, 12.0),
+                       client_net_us=rng.uniform(0.5, 5.0),
+                       network_us=rng.uniform(40.0, 120.0), visits=visits,
+                       bytes_moved=BLOCK)
+
+    if shape < 0.16:                          # served without any OSD
+        return ClientOpTrace(requests=requests, traces=[trace("read", 0)])
+    if chains and shape < 0.30:               # read-modify-write chain
+        return ClientOpTrace(requests=requests,
+                             traces=[trace("read", 1), trace("write", 1)])
+    if shape < 0.55:
+        return ClientOpTrace(requests=requests, traces=[trace("read", 1)])
+    return ClientOpTrace(requests=requests,
+                         traces=[trace("write", replicas)])
+
+
+def _random_fleet(index: int, max_clients: int):
+    """One seeded ragged fleet: ``(params, streams, arrivals)``."""
+    import numpy as np
+
+    from repro.sim.compact import encode_stream
+    from repro.sim.costparams import CostParameters
+
+    rng = random.Random(f"sim-transcript/{index}")
+    osds = rng.randint(3, 64)
+    replicas = min(3, osds)
+    clients = rng.randint(1, max_clients)
+    empty_fleet = index % 12 == 11
+    chains = index % 10 == 7
+    params = CostParameters(
+        sim_mode="events", osd_count=osds, replica_count=replicas,
+        sim_shards=3 if index % 7 == 3 else 1,
+        osd_shards=2 if index % 20 == 13 else 1)
+
+    # A handful of op lists; clients draw from them so stream objects and
+    # columns are shared the way a tiled fleet shares them.
+    lengths = [0, 1, 2, rng.randint(3, 60), rng.randint(3, 60)]
+    if index % 5 < 2:
+        lengths.append(rng.randint(1030, 1300))     # past reservoir capacity
+    shapes = [[_random_op(rng, osds, replicas, chains) for _ in range(n)]
+              for n in lengths]
+    encoded = [encode_stream(ops) for ops in shapes]
+    big_left = 3
+    streams: List[object] = []
+    for _ in range(clients):
+        pick = 0 if empty_fleet else rng.randrange(len(shapes))
+        if len(shapes[pick]) > 1000:
+            if not big_left:
+                pick = 3
+            else:
+                big_left -= 1
+        how = rng.random()
+        if how < 0.5:
+            streams.append(encoded[pick])           # the same object
+        elif how < 0.8 and encoded[pick].num_visits:
+            rotated = (encoded[pick].visit_osd + rng.randrange(osds)) % osds
+            streams.append(replace(encoded[pick], visit_osd=rotated))
+        else:
+            streams.append(shapes[pick])            # un-encoded op list
+    arrivals: List[object] = []
+    for client, stream in enumerate(streams):
+        count = stream.num_ops if hasattr(stream, "num_ops") else len(stream)
+        now, times = rng.uniform(0.0, 500.0), []
+        for _ in range(count):
+            if rng.random() >= 0.15:                # else: a zero gap
+                now += rng.expovariate(1.0 / rng.choice((15.0, 150.0, 900.0)))
+            times.append(now)
+        arrivals.append(times if client % 2 else
+                        np.asarray(times, dtype=np.float64))
+    return params, streams, arrivals
+
+
+def random_records(count: int, max_clients: int) -> Iterator[Record]:
+    from repro.sim.fleet import simulate_fleet
+
+    for index in range(count):
+        yield (f"random/{index:03d}",
+               lambda i=index: simulate_fleet(*_random_fleet(i, max_clients)))
+
+
+# ---------------------------------------------------------------------------
+# corpus: inputs that must be rejected
+# ---------------------------------------------------------------------------
+
+def invalid_records() -> Iterator[Record]:
+    import numpy as np
+
+    from repro.sim.costparams import CostParameters
+    from repro.sim.fleet import simulate_fleet
+    from repro.sim.ledger import ClientOpTrace, OpTrace, OsdVisit
+
+    params = CostParameters(sim_mode="events", osd_count=4, replica_count=3)
+
+    def op(requests: int = 1) -> "ClientOpTrace":
+        return ClientOpTrace(requests=requests, traces=[OpTrace(
+            kind="read", client_cpu_us=5.0, client_net_us=2.0,
+            network_us=90.0,
+            visits=[OsdVisit(osd_id=1, service_us=9.0, latency_us=48.0)],
+            bytes_moved=BLOCK)])
+
+    three = [op(), op(), op()]
+    cases = [
+        ("arrival-count-mismatch", [three], [[1.0, 2.0]]),
+        ("arrivals-unsorted", [three], [[3.0, 2.0, 1.0]]),
+        ("arrival-arrays-vs-clients", [three], [[1.0, 2.0, 3.0], [4.0]]),
+        ("arrival-nan", [three], [[1.0, float("nan"), 3.0]]),
+        ("arrival-inf", [three], [[1.0, 2.0, float("inf")]]),
+        ("arrival-2d", [three], [np.array([[1.0], [2.0], [3.0]])]),
+        ("arrival-strings", [three], [["a", "b", "c"]]),
+        ("requests-zero", [[op(), op(0), op()]], [[1.0, 2.0, 3.0]]),
+        ("requests-negative", [[op(), op(-1), op()]], [[1.0, 2.0, 3.0]]),
+    ]
+    for name, streams, arrivals in cases:
+        yield (f"invalid/{name}",
+               lambda s=streams, a=arrivals: simulate_fleet(params, s, a))
+
+
+# ---------------------------------------------------------------------------
+# command line
+# ---------------------------------------------------------------------------
+
+def corpus(seeds: Sequence[int] = SEEDS, clients: int = CLIENTS,
+           ops_per_client: int = OPS_PER_CLIENT,
+           random_fleets: int = RANDOM_FLEETS,
+           max_clients: int = MAX_CLIENTS) -> Iterator[Record]:
+    yield from bench_records(seeds, clients, ops_per_client)
+    yield from random_records(random_fleets, max_clients)
+    yield from invalid_records()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, metavar="FILE")
+    parser.add_argument("--src", metavar="DIR",
+                        default=str(Path(__file__).resolve().parents[1]
+                                    / "src"),
+                        help="src/ directory of the tree to drive "
+                             "(default: this checkout's)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    with open(args.out, "w", encoding="utf-8") as out:
+        count = write_transcript(out, corpus())
+    print(f"{count} records -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
