@@ -16,7 +16,6 @@ from .cache import wrap_image
 from .cache.config import CacheConfig
 from .cache.image import CachedImage
 from .clone import chain as _clone_chain
-from .clone.layered import LayeredImage
 from .crypto.drbg import HmacDrbg, RandomSource
 from .crypto.suite import DEFAULT_SUITE
 from .encryption.format import (EncryptedImageInfo, EncryptionOptions,
@@ -24,6 +23,7 @@ from .encryption.format import (EncryptedImageInfo, EncryptionOptions,
 from .engine.pipeline import EngineConfig, IoPipeline
 from .rados.cluster import Cluster, ClusterConfig
 from .rbd.image import DEFAULT_OBJECT_SIZE, Image, create_image, open_image
+from .rbd.wrapper import ImageLike
 from .sim.costparams import CostParameters, default_cost_parameters
 from .util import parse_size
 
@@ -59,7 +59,7 @@ def create_encrypted_image(cluster: Cluster, name: str, size: Union[int, str],
                            random_seed: Optional[bytes] = None,
                            journaled: bool = False,
                            cache: Union[None, str, CacheConfig] = None,
-                           ) -> Tuple[Image, EncryptedImageInfo]:
+                           ) -> Tuple[ImageLike, EncryptedImageInfo]:
     """Create an image, format it for encryption and return it unlocked.
 
     ``encryption_format`` selects the per-sector metadata layout
@@ -67,7 +67,8 @@ def create_encrypted_image(cluster: Cluster, name: str, size: Union[int, str],
     ``cache`` optionally enables the client-side block cache: pass a mode
     string (``"writeback"`` / ``"writethrough"``) or a full
     :class:`~repro.cache.CacheConfig`; the returned image is then a
-    :class:`~repro.cache.CachedImage` with the same data-path surface.
+    :class:`~repro.cache.CachedImage` (``"pwl"``: a :class:`~repro.pwl.PwlImage`)
+    behind the same :class:`~repro.rbd.wrapper.ImageLike` surface.
     """
     ioctx = cluster.client().open_ioctx(pool)
     create_image(ioctx, name, _as_bytes(size), _as_bytes(object_size))
@@ -85,7 +86,7 @@ def open_encrypted_image(cluster: Cluster, name: str, passphrase: bytes,
                          pool: str = "rbd",
                          journaled: bool = False,
                          cache: Union[None, str, CacheConfig] = None,
-                         ) -> Tuple[Image, EncryptedImageInfo]:
+                         ) -> Tuple[ImageLike, EncryptedImageInfo]:
     """Open and unlock an existing encrypted image (optionally cached)."""
     ioctx = cluster.client().open_ioctx(pool)
     image = open_image(ioctx, name)
@@ -102,7 +103,7 @@ def clone_encrypted_image(cluster: Cluster, parent_name: str, snap_name: str,
                           random_seed: Optional[bytes] = None,
                           pool: str = "rbd",
                           cache: Union[None, str, CacheConfig] = None,
-                          ) -> Tuple[LayeredImage, EncryptedImageInfo]:
+                          ) -> Tuple[ImageLike, EncryptedImageInfo]:
     """Clone ``parent@snap`` into a COW child with its *own* passphrase.
 
     The child carries an independent LUKS header and volume key: reads of
@@ -112,9 +113,9 @@ def clone_encrypted_image(cluster: Cluster, parent_name: str, snap_name: str,
     layer's writes (:mod:`repro.attacks.clone_key_isolation`).  Format
     parameters default to the parent layer's; the parent snapshot is
     protected automatically.  ``parent_passphrase`` may be a list (nearest
-    ancestor first) for chains of independently keyed layers.  ``cache``
-    wraps the clone in a client-side block cache, exactly as in
-    :func:`create_encrypted_image`.
+    ancestor first) for chains of independently keyed layers.  The image
+    returned is a :class:`~repro.clone.LayeredImage`; ``cache`` wraps it in
+    a client-side block cache, exactly as in :func:`create_encrypted_image`.
     """
     image, info = _clone_chain.clone_encrypted_image(
         cluster, parent_name, snap_name, clone_name, passphrase,
@@ -127,12 +128,13 @@ def open_layered_image(cluster: Cluster, name: str,
                        passphrases: Union[None, bytes, Sequence[bytes]] = None,
                        pool: str = "rbd",
                        cache: Union[None, str, CacheConfig] = None,
-                       ) -> Tuple[LayeredImage, List[Optional[EncryptedImageInfo]]]:
+                       ) -> Tuple[ImageLike, List[Optional[EncryptedImageInfo]]]:
     """Open an image with its whole clone chain unlocked layer by layer.
 
     ``passphrases`` is one secret per layer, the child's first (a single
     ``bytes`` applies to every encrypted layer); the returned info list is
-    per layer, child first, with ``None`` for plaintext layers.
+    per layer, child first, with ``None`` for plaintext layers.  The image
+    is a :class:`~repro.clone.LayeredImage`, wrapped when ``cache`` is set.
     """
     image, infos = _clone_chain.open_layered_image(cluster, name, passphrases,
                                                    pool=pool)
@@ -148,7 +150,7 @@ def create_plain_image(cluster: Cluster, name: str, size: Union[int, str],
     return open_image(ioctx, name)
 
 
-def make_pipeline(image: Image, queue_depth: int = 16,
+def make_pipeline(image: ImageLike, queue_depth: int = 16,
                   batch_size: Optional[int] = None,
                   cache: Union[None, str, CacheConfig] = None) -> IoPipeline:
     """Wrap an image in the batched I/O engine (:mod:`repro.engine`).

@@ -3,10 +3,10 @@
 The paper's cost model makes every miss to the cluster expensive — a round
 trip, a replicated transaction, and the chosen layout's per-sector
 metadata accesses.  This package is the reproduction of the client cache
-libRBD ships for exactly that reason: :class:`CachedImage` wraps an
-:class:`~repro.rbd.image.Image` with the same data-path surface and
-absorbs IO at encryption-block granularity before it reaches the batched
-engine's transaction path.
+libRBD ships for exactly that reason: :class:`CachedImage` wraps an image
+behind the same declared surface (:class:`~repro.rbd.wrapper.ImageLike`)
+and absorbs IO at encryption-block granularity before it reaches the
+batched engine's transaction path.
 
 Contracts (see :mod:`repro.cache.image` for the details):
 
@@ -36,9 +36,10 @@ from .config import CACHE_MODES, CACHE_POLICIES, CacheConfig, CacheStats
 from .image import CachedImage
 from .policy import ArcPolicy, EvictionPolicy, LruPolicy, make_policy
 from .readahead import SequentialDetector
+from ..rbd.wrapper import ImageLike
 
 
-def wrap_image(image, config: Optional[CacheConfig]):
+def wrap_image(image: ImageLike, config: Optional[CacheConfig]) -> ImageLike:
     """Wrap ``image`` in the front-end the cache mode selects.
 
     ``None`` returns the image unwrapped; mode ``"pwl"`` selects the

@@ -1,11 +1,10 @@
-"""The cached image front-end: an Image-shaped wrapper holding the block cache.
+"""The cached image front-end: the block cache behind the image surface.
 
-:class:`CachedImage` exposes the same data-path surface as
-:class:`~repro.rbd.image.Image` (scalar ``write``/``read`` plus the
-vectored ``write_extents``/``read_extents`` the batched engine drives), so
-it slots between any caller — the workload runners, the
-:class:`~repro.engine.pipeline.IoPipeline`, plain example code — and the
-real image without either side changing.
+:class:`CachedImage` is an :class:`~repro.rbd.wrapper.ImageWrapper` and
+so an :class:`~repro.rbd.wrapper.ImageLike`: it slots between any caller
+— the workload runners, the :class:`~repro.engine.pipeline.IoPipeline`,
+plain example code — and the image (or front-end) below without either
+side changing.
 
 Caching is done at encryption-block granularity (the same 4 KiB blocks the
 crypto dispatcher encrypts), with the write policy, capacity, eviction
@@ -20,10 +19,11 @@ policy and readahead window configured by
   first-dirtied order through one vectored
   :meth:`~repro.rbd.image.Image.write_extents` call (one transaction per
   touched object), then flushes the inner image; when it returns, all
-  acknowledged writes are durable on the cluster.  Snapshot creation and
-  resize issue the same barrier first.  For workloads in which no block
-  is written twice this makes the writeback path draw IVs in exactly the
-  uncached order, so the resulting ciphertext is bit-identical (see
+  acknowledged writes are durable on the cluster.  The base class takes
+  the same barrier before snapshot, protect, resize and flatten.  For
+  workloads in which no block is written twice this makes the writeback
+  path draw IVs in exactly the uncached order, so the resulting
+  ciphertext is bit-identical (see
   ``tests/cache/test_cache_equivalence.py``).
 * **Eviction never loses data.**  Evicting a dirty block writes back the
   whole contiguous dirty run around it first (clustered writeback), so
@@ -40,26 +40,27 @@ from .policy import make_policy
 from .readahead import SequentialDetector
 from ..errors import ConfigurationError
 from ..obs.names import KIND_CACHE_HIT
-from ..rbd.image import Image, IoResult
-from ..sim.ledger import OpReceipt, OpTrace, RES_CLIENT_CPU
+from ..rbd.image import IoResult
+from ..rbd.wrapper import ImageLike, ImageWrapper
+from ..sim.ledger import OpReceipt
+from ..util import contiguous_runs, covers_block, split_block_pieces
 
 
-class CachedImage:
-    """A client-side block cache wrapped around an :class:`Image`."""
+class CachedImage(ImageWrapper):
+    """A client-side block cache wrapped around an image."""
 
-    def __init__(self, image: Image, config: Optional[CacheConfig] = None) -> None:
-        self._image = image
+    _client_only_kind = KIND_CACHE_HIT
+
+    def __init__(self, image: ImageLike,
+                 config: Optional[CacheConfig] = None) -> None:
         self.config = config or CacheConfig()
         if self.config.mode == "pwl":
             raise ConfigurationError(
                 "cache mode 'pwl' is served by repro.pwl.PwlImage; "
                 "construct one directly or go through repro.cache.wrap_image")
-        dispatcher = image.dispatcher
-        #: cache granularity: the encryption block size when the image is
-        #: encrypted, the device sector size otherwise (matches the
-        #: engine's hazard granularity).
-        self._block_size = getattr(dispatcher, "block_size",
-                                   image.ioctx.cluster.params.sector_size)
+        super().__init__(image)
+        #: cache granularity (matches the engine's hazard granularity)
+        self._block_size = image.block_size
         self._capacity = self.config.capacity_blocks(self._block_size)
         self._policy = make_policy(self.config.policy, self._capacity)
         self._detector = SequentialDetector(self.config.readahead_blocks,
@@ -69,26 +70,9 @@ class CachedImage:
         self._dirty: "OrderedDict[int, None]" = OrderedDict()
         #: blocks resident because readahead fetched them (for hit stats)
         self._prefetched: set = set()
-        self._ledger = image.ioctx.cluster.ledger
-        self._params = image.ioctx.cluster.params
         self.stats = CacheStats()
 
     # -- plumbing ---------------------------------------------------------------
-
-    def __getattr__(self, name: str):
-        # Everything not cached-path specific (header, snapshots listing,
-        # ioctx, dispatcher, size, ...) behaves exactly like the inner image.
-        return getattr(self._image, name)
-
-    @property
-    def image(self) -> Image:
-        """The wrapped (uncached) image."""
-        return self._image
-
-    @property
-    def block_size(self) -> int:
-        """Cache block size in bytes."""
-        return self._block_size
 
     @property
     def capacity_blocks(self) -> int:
@@ -110,29 +94,6 @@ class CachedImage:
         """True when the cache runs in writeback mode."""
         return self.config.mode == "writeback"
 
-    def _hit_cost_us(self) -> float:
-        return self._params.cache_hit_cost_us
-
-    def _account(self, receipt: OpReceipt, touched_inner: bool) -> OpReceipt:
-        """Charge the client CPU cost of the cache lookup/copy work.
-
-        On the analytic path the cost lands as ``client.cpu`` busy time
-        and on the receipt's critical path; on the event-driven path a
-        pure cache hit is recorded as a client-CPU-only
-        :class:`OpTrace` (no OSD visits), while an op that did reach the
-        cluster folds the cost into its RADOS trace.
-        """
-        cost = self._hit_cost_us()
-        self._ledger.busy(RES_CLIENT_CPU, cost)
-        if touched_inner:
-            self._ledger.attribute_client_cpu(cost)
-        else:
-            self._ledger.record_op_trace(
-                OpTrace(kind=KIND_CACHE_HIT, client_cpu_us=cost,
-                        client_net_us=0.0, network_us=0.0))
-        receipt.latency_us += cost
-        return receipt
-
     # -- block helpers ----------------------------------------------------------
 
     def _block_range(self, offset: int, length: int) -> Tuple[int, int]:
@@ -140,17 +101,6 @@ class CachedImage:
         first = offset // self._block_size
         last = (offset + length - 1) // self._block_size
         return first, last
-
-    @staticmethod
-    def _contiguous_runs(blocks: Sequence[int]) -> List[Tuple[int, int]]:
-        """Split sorted block indices into (start, count) runs."""
-        runs: List[Tuple[int, int]] = []
-        for block in blocks:
-            if runs and block == runs[-1][0] + runs[-1][1]:
-                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-            else:
-                runs.append((block, 1))
-        return runs
 
     def _drop(self, block: int) -> None:
         """Remove a resident block (must already be clean)."""
@@ -293,7 +243,8 @@ class CachedImage:
             start = offset - first * block_size
             buffers.append(raw[start:start + length])
         receipt.bytes_moved += sum(length for _offset, length in extents)
-        return buffers, self._account(receipt, touched_inner=bool(fetch))
+        return buffers, self._account(
+            receipt, self._params.cache_hit_cost_us, touched_inner=bool(fetch))
 
     def _readahead_candidates(self, extents: Sequence[Tuple[int, int]]) -> List[int]:
         """Blocks the sequential detector wants prefetched for this read."""
@@ -326,7 +277,7 @@ class CachedImage:
         """
         block_size = self._block_size
         image_size = self._image.size
-        runs = self._contiguous_runs(sorted(blocks))
+        runs = contiguous_runs(sorted(blocks))
         fetch_extents = []
         for start, count in runs:
             offset = start * block_size
@@ -379,33 +330,12 @@ class CachedImage:
 
     def write_extents(self, extents: Sequence[Tuple[int, bytes]]) -> OpReceipt:
         """Apply a vectored write batch under the configured write policy."""
-        staged: List[Tuple[int, memoryview]] = []
-        for offset, data in extents:
-            self._image.check_io(offset, len(data))
-            if len(data):
-                staged.append((offset, memoryview(data).cast("B")))
+        staged = self._staged(extents)
         if not staged:
             return OpReceipt()
         if self.config.mode == "writethrough":
             return self._write_through(staged)
         return self._write_back(staged)
-
-    def _split_pieces(self, staged: Sequence[Tuple[int, memoryview]]
-                      ) -> "OrderedDict[int, List[Tuple[int, memoryview]]]":
-        """Per-block pieces of a batch, blocks in arrival order."""
-        block_size = self._block_size
-        pieces: "OrderedDict[int, List[Tuple[int, memoryview]]]" = OrderedDict()
-        for offset, data in staged:
-            first, last = self._block_range(offset, len(data))
-            for block in range(first, last + 1):
-                block_start = block * block_size
-                dst_start = max(offset, block_start) - block_start
-                src_start = max(block_start - offset, 0)
-                src_end = (min(offset + len(data), block_start + block_size)
-                           - offset)
-                pieces.setdefault(block, []).append(
-                    (dst_start, data[src_start:src_end]))
-        return pieces
 
     def _count_write_blocks(self, blocks: Sequence[int]) -> None:
         hits = sum(1 for b in blocks if b in self._blocks)
@@ -425,7 +355,7 @@ class CachedImage:
         reads.  Blocks only partially covered by the batch are updated in
         place when resident and skipped (not read-filled) otherwise.
         """
-        pieces = self._split_pieces(staged)
+        pieces = split_block_pieces(staged, self._block_size)
         self._count_write_blocks(list(pieces))
         receipt = self._image.write_extents(staged)
         block_size = self._block_size
@@ -442,7 +372,8 @@ class CachedImage:
                 self._policy.touch(block)
             self._prefetched.discard(block)
         receipt.extend(admitted)
-        return self._account(receipt, touched_inner=True)
+        return self._account(receipt, self._params.cache_hit_cost_us,
+                             touched_inner=True)
 
     def _write_back(self, staged: List[Tuple[int, memoryview]]) -> OpReceipt:
         """Absorb the batch into the cache; defer the cluster write.
@@ -453,23 +384,13 @@ class CachedImage:
         lifetime instead of once per unaligned write).
         """
         block_size = self._block_size
-        pieces = self._split_pieces(staged)
+        pieces = split_block_pieces(staged, block_size)
         self._count_write_blocks(list(pieces))
 
         # Read-fill: blocks not resident and not fully covered by the batch.
-        fill = []
-        for block, block_pieces in pieces.items():
-            if block in self._blocks:
-                continue
-            covered = sorted((dst, dst + len(piece))
-                             for dst, piece in block_pieces)
-            covered_to = 0
-            for start, end in covered:
-                if start > covered_to:
-                    break
-                covered_to = max(covered_to, end)
-            if covered_to < block_size:
-                fill.append(block)
+        fill = [block for block, block_pieces in pieces.items()
+                if block not in self._blocks
+                and not covers_block(block_pieces, block_size)]
         receipt = OpReceipt()
         touched_inner = False
         fills: Dict[int, bytearray] = {}
@@ -509,7 +430,8 @@ class CachedImage:
         if receipt.latency_us or receipt.bytes_moved:
             touched_inner = True
         receipt.bytes_moved += sum(len(data) for _offset, data in staged)
-        return self._account(receipt, touched_inner=touched_inner)
+        return self._account(receipt, self._params.cache_hit_cost_us,
+                             touched_inner=touched_inner)
 
     # -- data path: discard / flush ---------------------------------------------
 
@@ -544,7 +466,8 @@ class CachedImage:
             self._drop(block)
         self._detector.reset()
         receipt.extend(self._image.discard(offset, length))
-        return self._account(receipt, touched_inner=True)
+        return self._account(receipt, self._params.cache_hit_cost_us,
+                             touched_inner=True)
 
     def flush(self) -> OpReceipt:
         """Flush barrier: write back all dirty blocks, then the inner image.
@@ -556,7 +479,7 @@ class CachedImage:
         receipt = OpReceipt()
         if self._dirty:
             receipt = self._writeback_blocks(list(self._dirty))
-        self._image.flush()
+        receipt.extend(self._image.flush())
         self.stats.flushes += 1
         self._ledger.count("cache.flushes")
         return receipt
@@ -570,38 +493,16 @@ class CachedImage:
         self._policy = make_policy(self.config.policy, self._capacity)
         self._detector.reset()
 
-    # -- management (flush-barrier wrappers) ------------------------------------
+    # -- management (the base class takes the flush barrier) -------------------
 
-    def create_snapshot(self, snap_name: str):
-        """Snapshot after a flush barrier, so the snapshot holds all
-        acknowledged writes."""
-        self.flush()
-        return self._image.create_snapshot(snap_name)
-
-    def set_read_snapshot(self, snap_name) -> None:
+    def set_read_snapshot(self, snap_name: Optional[str]) -> None:
         """Route reads to a snapshot (cache is bypassed while set)."""
         self._detector.reset()
-        self._image.set_read_snapshot(snap_name)
+        super().set_read_snapshot(snap_name)
 
     def resize(self, new_size: int) -> None:
-        """Resize after a flush barrier; drops blocks beyond the new end."""
-        self.flush()
-        self._image.resize(new_size)
+        """Resize after the flush barrier; drops blocks beyond the new end."""
+        super().resize(new_size)
         last_valid = (new_size - 1) // self._block_size
         for block in [b for b in self._blocks if b > last_valid]:
             self._drop(block)
-
-    def protect_snapshot(self, snap_name: str):
-        """Protect after a flush barrier: a snapshot about to become a
-        clone parent must hold every acknowledged write."""
-        self.flush()
-        return self._image.protect_snapshot(snap_name)
-
-    def flatten(self) -> OpReceipt:
-        """Flatten (clone children only) after a flush barrier, so the
-        migration sees the child's acknowledged writes and skips their
-        objects instead of overwriting them with parent data."""
-        flush_receipt = self.flush()
-        receipt = self._image.flatten()
-        flush_receipt.extend(receipt)
-        return flush_receipt

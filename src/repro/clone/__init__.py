@@ -7,7 +7,7 @@ snapshot machinery:
 * :mod:`repro.clone.chain` — protect/clone/open/flatten chain management,
   per-layer LUKS unlock (each layer owns its own volume key), and the
   golden-image fan-out builder the benchmarks use.
-* :mod:`repro.clone.layered` — :class:`LayeredImage`, the Image-shaped
+* :mod:`repro.clone.layered` — :class:`LayeredImage`, the ``ImageWrapper``
   front-end whose reads descend the parent chain via ``snap_set_read``
   and whose writes perform librbd-style atomic copyup.
 

@@ -1,10 +1,8 @@
 """The layered image front-end: COW clone chains with per-layer decryption.
 
-:class:`LayeredImage` exposes the same data-path surface as
-:class:`~repro.rbd.image.Image` (scalar ``write``/``read`` plus the
-vectored ``write_extents``/``read_extents`` the batched engine and the
-block cache drive), so it slots between any caller and a clone child
-without either side changing — exactly like
+:class:`LayeredImage` is an :class:`~repro.rbd.wrapper.ImageWrapper` and
+so an :class:`~repro.rbd.wrapper.ImageLike`: it slots between any caller
+and a clone child without either side changing — exactly like
 :class:`~repro.cache.image.CachedImage`, which may in turn wrap it.
 
 Semantics mirror librbd's layering:
@@ -46,6 +44,7 @@ from ..faults.plan import STAGE_MID_COPYUP, crash_point
 from ..rados.transaction import ReadOperation
 from ..rbd.image import Image, IoResult, ParentRef
 from ..rbd.striping import map_extent
+from ..rbd.wrapper import ImageWrapper
 from ..sim.ledger import OpReceipt
 
 
@@ -69,7 +68,7 @@ class CloneLayer:
             self.image.header.size = self.overlap
 
 
-class LayeredImage:
+class LayeredImage(ImageWrapper):
     """A clone child plus its ancestor chain, presented as one image."""
 
     def __init__(self, image: Image, layers: Sequence[CloneLayer]) -> None:
@@ -79,9 +78,8 @@ class LayeredImage:
             if layer.image.object_size != image.object_size:
                 raise CloneError(
                     "clone layers must share the child's object size")
-        self._image = image
+        super().__init__(image)
         self._layers = list(layers)
-        self._ledger = image.ioctx.cluster.ledger
         #: lazily discovered child object existence (True once written)
         self._present: Dict[int, bool] = {}
         #: per-(snap id, object) child presence for snapshot-routed reads
@@ -94,16 +92,6 @@ class LayeredImage:
         self._layer_present: List[Dict[int, bool]] = [{} for _ in layers]
 
     # -- plumbing ---------------------------------------------------------------
-
-    def __getattr__(self, name: str):
-        # Management surface (header, snapshots, ioctx, dispatcher, size,
-        # check_io, ...) behaves exactly like the child image.
-        return getattr(self._image, name)
-
-    @property
-    def image(self) -> Image:
-        """The wrapped child image (its own head and dispatcher)."""
-        return self._image
 
     @property
     def layers(self) -> List[CloneLayer]:
@@ -328,12 +316,8 @@ class LayeredImage:
         #: per-object pieces in arrival order: (in-object offset, view)
         pieces: Dict[int, List[Tuple[int, memoryview]]] = {}
         order: List[int] = []
-        for offset, data in extents:
-            self._image.check_io(offset, len(data))
-            if not len(data):
-                continue
-            view = memoryview(data).cast("B")
-            for extent in map_extent(offset, len(data),
+        for offset, view in self._staged(extents):
+            for extent in map_extent(offset, len(view),
                                      self._image.object_size):
                 if extent.object_no not in pieces:
                     order.append(extent.object_no)
@@ -407,10 +391,11 @@ class LayeredImage:
         return receipt
 
     # -- management -------------------------------------------------------------
+    # Nothing is buffered here, so resize/flatten take no barrier.
 
-    def flush(self) -> None:
-        """Flush the child's dispatcher."""
-        self._image.flush()
+    def flush(self) -> OpReceipt:
+        """Flush the child (the clone layer itself buffers nothing)."""
+        return self._image.flush()
 
     def resize(self, new_size: int) -> None:
         """Resize the child; shrinking clips the parent overlap for good

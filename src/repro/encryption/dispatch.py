@@ -43,7 +43,8 @@ from ..rados.transaction import ReadOperation, WriteTransaction
 from ..rbd.dispatcher import ObjectDispatcher
 from ..rbd.striping import object_name
 from ..sim.ledger import OpReceipt, RES_CLIENT_CPU
-from ..util import ScratchPool, chunked_views, round_down, round_up
+from ..util import (ScratchPool, chunked_views, contiguous_runs, covers_block,
+                    round_down, round_up, split_block_pieces)
 
 
 class CryptoObjectDispatcher(ObjectDispatcher):
@@ -115,17 +116,6 @@ class CryptoObjectDispatcher(ObjectDispatcher):
             lba = self._lba(object_no, first_block + i)
             plaintexts.append(self._codec.decrypt_sector(lba, ciphertext, metadata))
         return plaintexts
-
-    @staticmethod
-    def _contiguous_runs(blocks: Sequence[int]) -> List[Tuple[int, int]]:
-        """Split an ascending block-index list into (first, count) runs."""
-        runs: List[Tuple[int, int]] = []
-        for block in blocks:
-            if runs and block == runs[-1][0] + runs[-1][1]:
-                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-            else:
-                runs.append((block, 1))
-        return runs
 
     def _read_block_runs(self, object_no: int,
                          runs: Sequence[Tuple[int, int]],
@@ -253,37 +243,6 @@ class CryptoObjectDispatcher(ObjectDispatcher):
 
     # -- batched data path (the I/O engine entry points) -----------------------
 
-    def _touched_blocks(self, offset: int, length: int) -> Tuple[int, int]:
-        """(first block, last block) of the aligned range covering an extent."""
-        first = round_down(offset, self._block_size) // self._block_size
-        last = (round_up(offset + length, self._block_size)
-                // self._block_size) - 1
-        return first, last
-
-    def _partial_blocks(
-            self, pieces: Dict[int, List[Tuple[int, memoryview]]]) -> List[int]:
-        """Blocks touched by the batch but not fully covered by its data.
-
-        Coverage is judged from the per-block piece map ``write_extents``
-        already built, so the extent-clipping geometry lives in one place.
-        A boundary block still counts as fully covered when the union of
-        *all* pieces covers it, so no stale data is read back
-        unnecessarily.
-        """
-        block_size = self._block_size
-        partial: List[int] = []
-        for block in sorted(pieces):
-            intervals = sorted((dst_start, dst_start + len(piece))
-                               for dst_start, piece in pieces[block])
-            covered_to = 0
-            for start, end in intervals:
-                if start > covered_to:
-                    break
-                covered_to = max(covered_to, end)
-            if covered_to < block_size:
-                partial.append(block)
-        return partial
-
     def write_extents(self, object_no: int,
                       extents: Sequence[Tuple[int, bytes]]) -> OpReceipt:
         """Write a whole per-object batch as ONE RADOS transaction.
@@ -307,56 +266,42 @@ class CryptoObjectDispatcher(ObjectDispatcher):
         block_size = self._block_size
 
         # Per-block pieces in arrival order: (offset within block, view).
-        pieces: Dict[int, List[Tuple[int, memoryview]]] = {}
-        for offset, data in extents:
-            first, last = self._touched_blocks(offset, len(data))
-            for block in range(first, last + 1):
-                block_start = block * block_size
-                dst_start = max(offset, block_start) - block_start
-                src_start = max(block_start - offset, 0)
-                src_end = min(offset + len(data), block_start + block_size) - offset
-                pieces.setdefault(block, []).append(
-                    (dst_start, data[src_start:src_end]))
+        pieces = split_block_pieces(extents, block_size)
         touched = sorted(pieces)
 
-        # One batched RMW read for every partial boundary block.
-        partial = self._partial_blocks(pieces)
+        # One batched RMW read for every block the batch touches without
+        # covering it (the union of all its pieces counts, so no stale
+        # data is read back unnecessarily).
+        partial = [block for block in touched
+                   if not covers_block(pieces[block], block_size)]
         plaintexts, pre_receipt = self._read_block_runs(
-            object_no, self._contiguous_runs(partial), from_head=True)
+            object_no, contiguous_runs(partial), from_head=True)
 
-        buffers: Dict[int, object] = {}
-        for block in touched:
-            block_pieces = pieces[block]
+        # Encrypt each block exactly once, in batch arrival order (the piece
+        # map's first-touch order: extent order, ascending blocks within an
+        # extent) so the IV stream matches the scalar path for
+        # non-overlapping batches.
+        ciphertexts: Dict[int, bytes] = {}
+        metadatas: Dict[int, bytes] = {}
+        for block, block_pieces in pieces.items():
             if len(block_pieces) == 1 and len(block_pieces[0][1]) == block_size:
                 # Fully covered by one extent: encrypt the caller's buffer
                 # in place (no copy).
-                buffers[block] = block_pieces[0][1]
-                continue
-            existing = plaintexts.get(block)
-            assembled = (bytearray(existing) if existing is not None
-                         else bytearray(block_size))
-            for dst_start, piece in block_pieces:
-                assembled[dst_start:dst_start + len(piece)] = piece
-            buffers[block] = assembled
-
-        # Encrypt each block exactly once, in batch arrival order (extent
-        # order, ascending blocks within an extent) so the IV stream matches
-        # the scalar path for non-overlapping batches.
-        ciphertexts: Dict[int, bytes] = {}
-        metadatas: Dict[int, bytes] = {}
-        for offset, data in extents:
-            first, last = self._touched_blocks(offset, len(data))
-            for block in range(first, last + 1):
-                if block in ciphertexts:
-                    continue
-                sector = self._codec.encrypt_sector(
-                    self._lba(object_no, block), buffers[block])
-                ciphertexts[block] = sector.ciphertext
-                metadatas[block] = sector.metadata
+                buffer = block_pieces[0][1]
+            else:
+                existing = plaintexts.get(block)
+                buffer = (bytearray(existing) if existing is not None
+                          else bytearray(block_size))
+                for dst_start, piece in block_pieces:
+                    buffer[dst_start:dst_start + len(piece)] = piece
+            sector = self._codec.encrypt_sector(self._lba(object_no, block),
+                                                buffer)
+            ciphertexts[block] = sector.ciphertext
+            metadatas[block] = sector.metadata
         crypto_us = self._charge_client_crypto(len(touched), writing=True)
 
         txn = WriteTransaction()
-        for first_block, block_count in self._contiguous_runs(touched):
+        for first_block, block_count in contiguous_runs(touched):
             run = range(first_block, first_block + block_count)
             self._layout.build_write(txn, first_block,
                                      [ciphertexts[b] for b in run],
@@ -391,7 +336,7 @@ class CryptoObjectDispatcher(ObjectDispatcher):
             for block in range(offset // self._block_size,
                                (offset + length - 1) // self._block_size + 1)})
         plaintexts, receipt = self._read_block_runs(
-            object_no, self._contiguous_runs(touched))
+            object_no, contiguous_runs(touched))
         pieces: List[bytes] = []
         for offset, length in extents:
             if not length:

@@ -3,8 +3,9 @@
 Batching model
 --------------
 
-The pipeline sits on top of an :class:`~repro.rbd.image.Image` and queues
-write requests into a *window*.  A window flushes when any of these fires:
+The pipeline sits on top of an :class:`~repro.rbd.wrapper.ImageLike` (a
+bare image or any stack of front-ends over one) and queues write requests
+into a *window*.  A window flushes when any of these fires:
 
 * it holds ``queue_depth`` requests (the knob that models how many
   operations a client keeps in flight — at depth 1 the pipeline issues one
@@ -63,8 +64,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConfigurationError
-from ..rbd.image import Image
 from ..rbd.striping import map_extent
+from ..rbd.wrapper import ImageLike
 from ..sim.ledger import OpReceipt
 from ..util import as_readonly_view
 
@@ -141,22 +142,20 @@ class PipelineStats:
 class IoPipeline:
     """Batched front-end for an image's data path."""
 
-    def __init__(self, image: Image, config: Optional[EngineConfig] = None) -> None:
+    def __init__(self, image: ImageLike,
+                 config: Optional[EngineConfig] = None) -> None:
         self._image = image
         self._config = config or EngineConfig()
         self._ledger = image.ioctx.cluster.ledger
-        dispatcher = image.dispatcher
-        #: hazard-tracking granularity: the encryption block size when the
-        #: image is encrypted, the device sector size otherwise.
-        self._block_size = getattr(dispatcher, "block_size",
-                                   image.ioctx.cluster.params.sector_size)
+        #: hazard-tracking granularity
+        self._block_size = image.block_size
         self._pending: List[Tuple[int, memoryview]] = []
         self._pending_blocks: Dict[int, Set[int]] = {}
         self._completions: List[Completion] = []
         self.stats = PipelineStats()
 
     @property
-    def image(self) -> Image:
+    def image(self) -> ImageLike:
         """The image the pipeline drives."""
         return self._image
 

@@ -7,7 +7,7 @@ cluster in order.  This package reproduces that shape:
 * :mod:`repro.pwl.log` — the log itself: framed records on a
   :class:`PwlMedia` that survives client crashes, with checkpoint +
   torn-tail-tolerant replay built on the kvstore WAL framing;
-* :mod:`repro.pwl.image` — :class:`PwlImage`, the Image-shaped wrapper
+* :mod:`repro.pwl.image` — :class:`PwlImage`, the ``ImageWrapper``
   selected by cache mode ``"pwl"``: ack at the append,
   watermark-triggered in-order drain, read overlay of pending records,
   and :meth:`PwlImage.recover` for the post-crash replay.

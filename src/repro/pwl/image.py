@@ -1,8 +1,9 @@
 """The pwl image front-end: ack on log append, drain to RADOS in order.
 
-:class:`PwlImage` is the Image-shaped wrapper for cache mode ``"pwl"``
-(libRBD's persistent write-back cache, the production successor of the
-volatile ObjectCacher).  The write path:
+:class:`PwlImage` is the :class:`~repro.rbd.wrapper.ImageWrapper` (and so
+:class:`~repro.rbd.wrapper.ImageLike`) for cache mode ``"pwl"`` — libRBD's
+persistent write-back cache, the production successor of the volatile
+ObjectCacher.  The write path:
 
 1. ``crash_point("pre-log-append")`` — a kill here loses the write,
    which is fine: it was never acknowledged;
@@ -35,8 +36,9 @@ from ..errors import ConfigurationError
 from ..obs.names import KIND_PWL_APPEND
 from ..faults.plan import (STAGE_MID_DRAIN, STAGE_POST_ACK_PRE_DRAIN,
                            STAGE_PRE_LOG_APPEND, crash_point)
-from ..rbd.image import Image, IoResult
-from ..sim.ledger import OpReceipt, OpTrace, RES_CLIENT_CPU
+from ..rbd.image import IoResult
+from ..rbd.wrapper import ImageLike, ImageWrapper
+from ..sim.ledger import OpReceipt
 from .log import PersistentWriteLog, PwlMedia
 
 
@@ -68,18 +70,20 @@ class RecoveryReport:
                 f"{torn}, checkpoint at seq {self.checkpoint_seq}")
 
 
-class PwlImage:
-    """A crash-safe persistent write log wrapped around an :class:`Image`."""
+class PwlImage(ImageWrapper):
+    """A crash-safe persistent write log wrapped around an image."""
 
-    def __init__(self, image: Image, config: Optional[CacheConfig] = None,
+    _client_only_kind = KIND_PWL_APPEND
+
+    def __init__(self, image: ImageLike, config: Optional[CacheConfig] = None,
                  media: Optional[PwlMedia] = None) -> None:
         self.config = config or CacheConfig(mode="pwl")
         if self.config.mode != "pwl":
             raise ConfigurationError(
                 f"PwlImage requires cache mode 'pwl', got {self.config.mode!r}")
-        self._image = image
-        self._ledger = image.ioctx.cluster.ledger
-        self._params = image.ioctx.cluster.params
+        # First: the replay at the end of this constructor drains through
+        # the attributes the base sets.
+        super().__init__(image)
         self._log = PersistentWriteLog(media if media is not None else PwlMedia(),
                                        params=self._params)
         #: log bytes above which the write path drains oldest records
@@ -101,16 +105,6 @@ class PwlImage:
 
     # -- plumbing --------------------------------------------------------------
 
-    def __getattr__(self, name: str):
-        # Everything not pwl-specific (header, snapshot listing, ioctx,
-        # dispatcher, size, ...) behaves exactly like the inner image.
-        return getattr(self._image, name)
-
-    @property
-    def image(self) -> Image:
-        """The wrapped (uncached) image."""
-        return self._image
-
     @property
     def log(self) -> PersistentWriteLog:
         """The persistent write log (its media survives crashes)."""
@@ -128,7 +122,7 @@ class PwlImage:
         return self._log.pending_records
 
     @classmethod
-    def recover(cls, image: Image, media: PwlMedia,
+    def recover(cls, image: ImageLike, media: PwlMedia,
                 config: Optional[CacheConfig] = None,
                 ) -> Tuple["PwlImage", RecoveryReport]:
         """Reopen an image over surviving log media after a crash.
@@ -143,26 +137,6 @@ class PwlImage:
             discarded_torn_tail=not pwl._log.recovered_clean,
             checkpoint_seq=pwl._log.checkpoint_seq)
         return pwl, report
-
-    def _account(self, receipt: OpReceipt, cost: float,
-                 touched_inner: bool) -> OpReceipt:
-        """Charge the client-side cost of log/overlay work (both sim modes).
-
-        Mirrors :meth:`repro.cache.CachedImage._account`: analytic mode
-        sees ``client.cpu`` busy time plus critical-path latency; event
-        mode records an op that never reached the cluster as a
-        client-only ``pwl-append`` trace and folds the cost into the
-        RADOS trace otherwise.
-        """
-        self._ledger.busy(RES_CLIENT_CPU, cost)
-        if touched_inner:
-            self._ledger.attribute_client_cpu(cost)
-        else:
-            self._ledger.record_op_trace(
-                OpTrace(kind=KIND_PWL_APPEND, client_cpu_us=cost,
-                        client_net_us=0.0, network_us=0.0))
-        receipt.latency_us += cost
-        return receipt
 
     # -- drain -----------------------------------------------------------------
 
@@ -223,11 +197,7 @@ class PwlImage:
     def write_extents(self, extents: Sequence[Tuple[int, bytes]]) -> OpReceipt:
         """Ack a vectored write batch after a local log append, then drain
         in order if the log is over its watermark."""
-        staged: List[Tuple[int, bytes]] = []
-        for offset, data in extents:
-            self._image.check_io(offset, len(data))
-            if len(data):
-                staged.append((offset, bytes(data)))
+        staged = self._staged(extents)     # the log append copies them
         if not staged:
             return OpReceipt()
         crash_point(STAGE_PRE_LOG_APPEND)
@@ -308,39 +278,7 @@ class PwlImage:
         then flush the inner image.  When this returns, the cluster holds
         every acknowledged write and the log is empty."""
         receipt = self._drain()
-        self._image.flush()
+        receipt.extend(self._image.flush())
         self.stats.flushes += 1
         self._ledger.count("pwl.flushes")
         return receipt
-
-    # -- management (flush-barrier wrappers) -----------------------------------
-
-    def create_snapshot(self, snap_name: str):
-        """Snapshot after a flush barrier, so the snapshot holds all
-        acknowledged writes."""
-        self.flush()
-        return self._image.create_snapshot(snap_name)
-
-    def set_read_snapshot(self, snap_name) -> None:
-        """Route reads to a snapshot (the overlay is bypassed while set)."""
-        self._image.set_read_snapshot(snap_name)
-
-    def resize(self, new_size: int) -> None:
-        """Resize after a flush barrier (pending extents could fall
-        outside the new bounds)."""
-        self.flush()
-        self._image.resize(new_size)
-
-    def protect_snapshot(self, snap_name: str):
-        """Protect after a flush barrier: a snapshot about to become a
-        clone parent must hold every acknowledged write."""
-        self.flush()
-        return self._image.protect_snapshot(snap_name)
-
-    def flatten(self) -> OpReceipt:
-        """Flatten (clone children only) after a flush barrier, so the
-        migration sees the child's acknowledged writes."""
-        flush_receipt = self.flush()
-        receipt = self._image.flatten()
-        flush_receipt.extend(receipt)
-        return flush_receipt

@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dispatcher import ObjectDispatcher, RawObjectDispatcher
 from .striping import header_object_name, map_extent
-from ..errors import ImageExistsError, ImageNotFoundError, RbdError, SnapshotError
+from ..errors import (CloneError, ImageExistsError, ImageNotFoundError,
+                      RbdError, SnapshotError)
 from ..rados.client import IoCtx, SnapContext
 from ..rados.transaction import WriteTransaction
 from ..sim.ledger import OpReceipt
@@ -254,6 +255,13 @@ class Image:
         """The currently installed object dispatcher."""
         return self._dispatcher
 
+    @property
+    def block_size(self) -> int:
+        """What cache blocks and engine hazards align to: the encryption
+        block size when encrypted, the device sector size otherwise."""
+        return getattr(self._dispatcher, "block_size",
+                       self._ioctx.cluster.params.sector_size)
+
     # -- data path -------------------------------------------------------------------
 
     def check_io(self, offset: int, length: int) -> None:
@@ -367,9 +375,10 @@ class Image:
             combined = _merge_parallel(combined, receipt)
         return combined or OpReceipt()
 
-    def flush(self) -> None:
+    def flush(self) -> OpReceipt:
         """Flush the dispatcher (no-op for write-through dispatchers)."""
         self._dispatcher.flush()
+        return OpReceipt()
 
     # -- management ---------------------------------------------------------------------
 
@@ -497,6 +506,15 @@ class Image:
         """Record (or, on flatten, clear) the parent layer reference."""
         self._header.parent = ref
         self._save_header()
+
+    def flatten(self) -> OpReceipt:
+        """Nothing to migrate without a parent.  A clone child opened
+        without its chain cannot read what it would have to copy in."""
+        if self._header.parent is not None:
+            raise CloneError(
+                f"image {self.name!r} is a clone child; open it with its "
+                f"chain (repro.clone.open_layered_image) to flatten it")
+        return OpReceipt()
 
     def children_of_snapshot(self, snap_id: int) -> List[str]:
         """Names of clone children backed by one of this image's snapshots."""

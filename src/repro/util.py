@@ -7,7 +7,7 @@ crypto, storage and workload subsystems.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import RbdError
 
@@ -174,6 +174,53 @@ def split_range(offset: int, length: int, granule: int) -> List[Tuple[int, int, 
         pos += piece
         remaining -= piece
     return pieces
+
+
+def contiguous_runs(indices: Sequence[int]) -> List[Tuple[int, int]]:
+    """Split an ascending index list into ``(first, count)`` runs."""
+    runs: List[Tuple[int, int]] = []
+    for index in indices:
+        if runs and index == runs[-1][0] + runs[-1][1]:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((index, 1))
+    return runs
+
+
+def split_block_pieces(extents: Sequence[Tuple[int, memoryview]],
+                       block_size: int
+                       ) -> Dict[int, List[Tuple[int, memoryview]]]:
+    """Cut a batch of non-empty ``(offset, view)`` extents at block bounds.
+
+    Maps every touched block to its ``(offset within the block, view)``
+    pieces in arrival order; blocks appear in first-touch order.  The
+    pieces are slices of the callers' views, nothing is copied.
+    """
+    pieces: Dict[int, List[Tuple[int, memoryview]]] = {}
+    for offset, data in extents:
+        end = offset + len(data)
+        for block in range(offset // block_size, (end - 1) // block_size + 1):
+            block_start = block * block_size
+            dst_start = max(offset, block_start) - block_start
+            src_start = max(block_start - offset, 0)
+            src_end = min(end, block_start + block_size) - offset
+            pieces.setdefault(block, []).append(
+                (dst_start, data[src_start:src_end]))
+    return pieces
+
+
+def covers_block(block_pieces: Sequence[Tuple[int, memoryview]],
+                 block_size: int) -> bool:
+    """Whether one block's pieces (see :func:`split_block_pieces`) leave no
+    byte of it unwritten.  The *union* counts: a block two extents cover
+    between them needs no read-modify-write."""
+    covered_to = 0
+    for start, end in sorted((dst_start, dst_start + len(piece))
+                             for dst_start, piece in block_pieces):
+        if start > covered_to:
+            break
+        covered_to = max(covered_to, end)
+    return covered_to >= block_size
 
 
 def parse_size(text: str) -> int:

@@ -32,7 +32,7 @@ from .spec import WorkloadSpec
 from ..engine.pipeline import EngineConfig, IoPipeline
 from ..errors import WorkloadError
 from ..rados.cluster import Cluster
-from ..rbd.image import Image
+from ..rbd.wrapper import ImageLike
 from ..sim.perfmodel import PerformanceModel
 from ..sim.scheduler import simulate_client_ops, simulate_open_loop
 
@@ -61,7 +61,7 @@ class ClusterWorkloadResult(WorkloadResult):
 class _ClientStream:
     """One client's request stream plus its issue-side state."""
 
-    def __init__(self, index: int, image: Image, spec: WorkloadSpec) -> None:
+    def __init__(self, index: int, image: ImageLike, spec: WorkloadSpec) -> None:
         self.index = index
         # Each client stream owns its cache (client-side caching), wrapped
         # around its own image.
@@ -107,7 +107,7 @@ class ClusterWorkloadRunner:
         """Which performance model converts the run into elapsed time."""
         return self._cluster.params.sim_mode
 
-    def run(self, images: Sequence[Image], spec: WorkloadSpec,
+    def run(self, images: Sequence[ImageLike], spec: WorkloadSpec,
             layout_name: Optional[str] = None) -> ClusterWorkloadResult:
         """Execute ``spec`` across ``images`` (one per client stream)."""
         if len(images) != spec.num_clients:
@@ -247,6 +247,6 @@ class ClusterWorkloadRunner:
                                           stream.latencies)
 
     @staticmethod
-    def _layout_of(image: Image) -> str:
+    def _layout_of(image: ImageLike) -> str:
         layout = getattr(image.dispatcher, "layout", None)
         return layout.name if layout is not None else "plaintext"

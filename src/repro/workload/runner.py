@@ -20,14 +20,14 @@ from .spec import WorkloadSpec
 from ..engine.pipeline import EngineConfig, IoPipeline
 from ..errors import WorkloadError
 from ..rados.cluster import Cluster
-from ..rbd.image import Image
+from ..rbd.wrapper import ImageLike
 from ..sim.ledger import ClientOpTrace, CostLedger
 from ..sim.perfmodel import PerformanceEstimate, PerformanceModel
 from ..sim.scheduler import simulate_client_ops, simulate_open_loop
 from ..util import MIB
 
 
-def wrap_in_cache(image: Image, spec: WorkloadSpec):
+def wrap_in_cache(image: ImageLike, spec: WorkloadSpec):
     """Wrap ``image`` in the spec's client-side cache (no-op when off).
 
     Cache mode ``"pwl"`` selects the crash-safe persistent write log
@@ -50,7 +50,7 @@ def finish_cache_flush(ledger: CostLedger, cached, latencies: List[float]) -> No
         latencies.append(receipt.latency_us)
 
 
-def prefill_image(image: Image, chunk_size: int = MIB,
+def prefill_image(image: ImageLike, chunk_size: int = MIB,
                   pattern_seed: int = 7) -> None:
     """Write the whole image once so later reads hit real (encrypted) data.
 
@@ -168,7 +168,7 @@ class WorkloadRunner:
         """Which performance model converts the run into elapsed time."""
         return self._cluster.params.sim_mode
 
-    def run(self, image: Image, spec: WorkloadSpec,
+    def run(self, image: ImageLike, spec: WorkloadSpec,
             layout_name: Optional[str] = None) -> WorkloadResult:
         """Execute ``spec`` against ``image`` and return the measurements."""
         if spec.open_loop and self.sim_mode != "events":
@@ -251,7 +251,7 @@ class WorkloadRunner:
                               counters=dict(delta.counters),
                               latencies_us=latencies)
 
-    def _run_batched(self, image: Image, spec: WorkloadSpec,
+    def _run_batched(self, image: ImageLike, spec: WorkloadSpec,
                      write_buffer: bytes, latencies: List[float]) -> int:
         """Drive the request stream through the batched I/O engine.
 
@@ -292,13 +292,13 @@ class WorkloadRunner:
         per_request = completion.receipt.latency_us / completion.requests
         latencies.extend([per_request] * completion.requests)
 
-    def run_many(self, image: Image, specs: List[WorkloadSpec],
+    def run_many(self, image: ImageLike, specs: List[WorkloadSpec],
                  layout_name: Optional[str] = None) -> List[WorkloadResult]:
         """Run several specs back to back against the same image."""
         return [self.run(image, spec, layout_name) for spec in specs]
 
     @staticmethod
-    def _layout_of(image: Image) -> str:
+    def _layout_of(image: ImageLike) -> str:
         dispatcher = image.dispatcher
         layout = getattr(dispatcher, "layout", None)
         if layout is not None:
@@ -311,7 +311,7 @@ def fresh_ledger_copy(cluster: Cluster) -> CostLedger:
     return cluster.ledger.snapshot()
 
 
-def capture_template_stream(cluster: Cluster, image: Image,
+def capture_template_stream(cluster: Cluster, image: ImageLike,
                             spec: WorkloadSpec) -> List[ClientOpTrace]:
     """Issue ``spec`` once with trace capture on; return the sealed traces.
 

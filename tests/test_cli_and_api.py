@@ -5,9 +5,10 @@ import pytest
 from repro import api
 from repro.cli import build_parser, main
 from repro.errors import ImageExistsError
-from repro.util import (MIB, ceil_div, constant_time_compare, format_size,
-                        hexdump, is_power_of_two, parse_size, round_down,
-                        round_up, split_range, xor_bytes)
+from repro.util import (MIB, ceil_div, constant_time_compare, contiguous_runs,
+                        covers_block, format_size, hexdump, is_power_of_two,
+                        parse_size, round_down, round_up, split_block_pieces,
+                        split_range, xor_bytes)
 
 
 class TestCli:
@@ -263,6 +264,37 @@ class TestUtil:
         assert pieces == [(0, 4090, 6), (1, 0, 14)]
         with pytest.raises(ValueError):
             split_range(-1, 10, 4096)
+
+    def test_contiguous_runs(self):
+        assert contiguous_runs([]) == []
+        assert contiguous_runs([7]) == [(7, 1)]
+        assert contiguous_runs([0, 1, 2, 5, 7, 8]) == [(0, 3), (5, 1), (7, 2)]
+
+    def test_split_block_pieces(self):
+        first, second = memoryview(bytes(range(20))), memoryview(b"xy")
+        pieces = split_block_pieces([(14, first), (3, second)], 8)
+        # blocks in first-touch order, pieces in arrival order, no copies
+        assert list(pieces) == [1, 2, 3, 4, 0]
+        assert [(start, bytes(view)) for start, view in pieces[1]] \
+            == [(6, bytes([0, 1]))]
+        assert [(start, bytes(view)) for start, view in pieces[2]] \
+            == [(0, bytes(range(2, 10)))]
+        assert [(start, bytes(view)) for start, view in pieces[4]] \
+            == [(0, bytes([18, 19]))]
+        assert pieces[0][0][0] == 3 and pieces[0][0][1].obj is second.obj
+        both = split_block_pieces([(0, first[:4]), (2, second)], 8)
+        assert [(start, bytes(view)) for start, view in both[0]] \
+            == [(0, bytes(range(4))), (2, b"xy")]
+
+    def test_covers_block(self):
+        block = memoryview(bytes(8))
+        assert covers_block([(0, block)], 8)
+        assert not covers_block([(0, block[:7])], 8)
+        assert not covers_block([(1, block[:7])], 8)
+        # the union counts, in any arrival order, overlaps included
+        assert covers_block([(4, block[:4]), (0, block[:5])], 8)
+        assert not covers_block([(0, block[:3]), (4, block[:4])], 8)
+        assert not covers_block([], 8)
 
     def test_parse_and_format_size(self):
         assert parse_size("4K") == 4096
