@@ -278,7 +278,8 @@ class LayoutSweep:
             passphrase_for=lambda i, d: f"clone-{i}-{d}".encode("utf-8"),
             parent_passphrase=b"benchmark-passphrase",
             clone_depth=config.clone_depth,
-            random_seed_prefix=f"sweep-{label}".encode("utf-8"))
+            random_seed_prefix=f"sweep-{label}".encode("utf-8"),
+            pool=golden.ioctx.pool_name)
         if config.flatten:
             for image in clones:
                 image.flatten()

@@ -438,14 +438,13 @@ class CachedImage(ImageWrapper):
     def discard(self, offset: int, length: int) -> OpReceipt:
         """Deallocate a byte range, preserving the inner image's semantics.
 
-        Discard granularity differs by dispatcher (the crypto dispatcher
-        zeroes whole covering blocks, the raw dispatcher the exact byte
-        range), so the cache does not model it: dirty *boundary* blocks
-        are written back first (their out-of-range bytes must reach the
-        cluster before the discard, exactly as on the uncached path,
-        where those writes preceded the discard), every touched block is
-        dropped, and the discard is forwarded — a later read refetches
-        whatever the inner image's semantics produced.
+        Every dispatcher zeroes exactly the byte range (a partly covered
+        encryption block is read-modify-written below), and the cache does
+        not re-model that: dirty *boundary* blocks are written back first
+        (their out-of-range bytes must reach the cluster before the
+        discard, exactly as on the uncached path, where those writes
+        preceded the discard), every touched block is dropped, and the
+        discard is forwarded — a later read refetches what it left.
         """
         self._image.check_io(offset, length)
         if not length:

@@ -364,7 +364,7 @@ class LayeredImage(ImageWrapper):
         the discarded range zeroed (one transaction); otherwise falling
         back to the chain on a later read would resurrect the discarded
         bytes.  Written (or unbacked) objects forward to the child, whose
-        dispatcher defines the discard granularity.
+        dispatcher zeroes the same exact byte range.
         """
         self._image.check_io(offset, length)
         if not length:

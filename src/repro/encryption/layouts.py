@@ -72,6 +72,13 @@ class MetadataLayout:
         """Append the ops storing a contiguous run of blocks to ``txn``."""
         raise NotImplementedError
 
+    def build_discard(self, txn: WriteTransaction, first_block: int,
+                      block_count: int) -> None:
+        """Append the ops deallocating a contiguous run of whole blocks,
+        data and per-sector metadata together, to ``txn``."""
+        self._check_run(first_block, block_count)
+        txn.zero(self.data_offset(first_block), block_count * self.block_size)
+
     # -- read path -----------------------------------------------------------------
 
     def build_read(self, readop: ReadOperation, first_block: int,
@@ -165,6 +172,11 @@ class UnalignedLayout(MetadataLayout):
             interleaved += metadata.ljust(self.metadata_size, b"\x00")
         txn.write(self.data_offset(first_block), bytes(interleaved))
 
+    def build_discard(self, txn: WriteTransaction, first_block: int,
+                      block_count: int) -> None:
+        self._check_run(first_block, block_count)
+        txn.zero(self.data_offset(first_block), block_count * self.stride)
+
     def build_read(self, readop: ReadOperation, first_block: int,
                    block_count: int) -> None:
         self._check_run(first_block, block_count)
@@ -213,6 +225,13 @@ class ObjectEndLayout(MetadataLayout):
             packed = b"".join(m.ljust(self.metadata_size, b"\x00")
                               for m in metadatas)
             txn.write(self.metadata_offset(first_block), packed)
+
+    def build_discard(self, txn: WriteTransaction, first_block: int,
+                      block_count: int) -> None:
+        super().build_discard(txn, first_block, block_count)
+        if self.metadata_size:
+            txn.zero(self.metadata_offset(first_block),
+                     block_count * self.metadata_size)
 
     def build_read(self, readop: ReadOperation, first_block: int,
                    block_count: int) -> None:
@@ -269,6 +288,13 @@ class OmapLayout(MetadataLayout):
             for i, metadata in enumerate(metadatas):
                 values[self.omap_key(first_block + i)] = metadata
             txn.omap_set_keys(values)
+
+    def build_discard(self, txn: WriteTransaction, first_block: int,
+                      block_count: int) -> None:
+        super().build_discard(txn, first_block, block_count)
+        if self.metadata_size:
+            txn.omap_rm_range(self.omap_key(first_block),
+                              self.omap_key(first_block + block_count))
 
     def build_read(self, readop: ReadOperation, first_block: int,
                    block_count: int) -> None:

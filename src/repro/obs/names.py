@@ -89,7 +89,6 @@ COUNTERS: Dict[str, str] = {
     "engine.batched_blocks": "blocks carried by flushed windows",
     # -- crypto -----------------------------------------------------------------
     "crypto.blocks": "4 KiB blocks encrypted or decrypted",
-    "crypto.write_batches": "batched encryption kernel invocations",
     "crypto.journal_writes": "journal-mode metadata journal writes",
     # -- RADOS client -----------------------------------------------------------
     "rados.transactions": "write transactions committed",

@@ -332,6 +332,7 @@ class EcBackend(PoolBackend):
         holders: Dict[int, Tuple[int, int]] = {}
         size = 0
         found = 0
+        unborn = 0
         for osd_id in acting:
             obj = cluster.osd_by_id(osd_id).lookup(pool.name, name)
             if obj is None:
@@ -340,6 +341,7 @@ class EcBackend(PoolBackend):
             xattrs = clone.xattrs if clone is not None else obj.xattrs
             chunk_size = clone.size if clone is not None else obj.size
             found += 1
+            unborn += clone is not None and not clone.xattrs
             index = parse_shard_index(xattrs, pool.replica_count)
             if index is None or index in holders:
                 continue
@@ -349,6 +351,10 @@ class EcBackend(PoolBackend):
             raise ObjectNotFoundError(
                 f"object {pool.name}/{name} not found on any acting "
                 f"EC shard {acting}")
+        if unborn == found:
+            # Every reachable shard's covering clone is the empty marker its
+            # first write left: the object did not exist at the snapshot.
+            return b"", 0, 0.0
         if len(holders) < codec.k:
             raise DegradedClusterError(
                 f"read of {pool.name}/{name}: only {len(holders)} of "

@@ -147,21 +147,19 @@ class WriteTransaction:
         back-to-back extents collapses into a single ``write`` op so the OSD
         sees — and charges for — one large device write per contiguous run.
         """
-        pending_offset: Optional[int] = None
-        pending = bytearray()
+        runs: List[Tuple[int, List[bytes]]] = []
+        run_end: Optional[int] = None
         for offset, data in extents:
-            if not data:
+            if not len(data):
                 continue
-            if (pending_offset is not None
-                    and offset == pending_offset + len(pending)):
-                pending += data
-                continue
-            if pending_offset is not None:
-                self.ops.append(OpWrite(pending_offset, bytes(pending)))
-            pending_offset = offset
-            pending = bytearray(data)
-        if pending_offset is not None:
-            self.ops.append(OpWrite(pending_offset, bytes(pending)))
+            if offset != run_end:
+                runs.append((offset, []))
+            runs[-1][1].append(data)
+            run_end = offset + len(data)
+        # One join per run: a lone piece is copied once (not at all when it
+        # already is ``bytes``).
+        self.ops.extend(OpWrite(offset, b"".join(pieces))
+                        for offset, pieces in runs)
         return self
 
     def write_full(self, data: bytes) -> "WriteTransaction":

@@ -8,12 +8,11 @@ encrypts 4 KiB blocks and persists per-sector metadata according to the
 selected layout; the :class:`~repro.rbd.image.Image` only ever talks to the
 dispatcher interface.
 
-The interface is vectored: next to the per-extent ``write``/``read`` calls
-(the legacy one-transaction-per-extent path) every dispatcher accepts a
-whole per-object batch via ``write_extents``/``read_extents`` and turns it
-into a *single* RADOS transaction / read operation.  The base class
-provides serial fallbacks so a minimal dispatcher only has to implement the
-scalar calls.
+The interface is vectored and has one data path: a dispatcher receives an
+object's whole share of an image IO via ``write_extents``/``read_extents``
+and turns it into a *single* RADOS transaction / read operation.  A scalar
+image read or write is a one-extent batch (:class:`~repro.rbd.image.Image`
+says so once), so there is no per-extent twin to keep in step.
 """
 
 from __future__ import annotations
@@ -30,46 +29,22 @@ from ..sim.ledger import OpReceipt
 class ObjectDispatcher:
     """Interface implemented by the raw and encrypted dispatchers."""
 
-    def write(self, object_no: int, offset: int, data: bytes) -> OpReceipt:
-        """Write ``data`` at ``offset`` of object ``object_no``."""
-        raise NotImplementedError
-
-    def read(self, object_no: int, offset: int, length: int) -> Tuple[bytes, OpReceipt]:
-        """Read ``length`` bytes at ``offset`` of object ``object_no``."""
-        raise NotImplementedError
-
-    def discard(self, object_no: int, offset: int, length: int) -> OpReceipt:
-        """Deallocate a range of an object (best effort)."""
-        raise NotImplementedError
-
     def write_extents(self, object_no: int,
                       extents: Sequence[Tuple[int, bytes]]) -> OpReceipt:
-        """Write a batch of (offset, data) extents to one object.
-
-        The fallback issues one transaction per extent (serial composition);
-        batching dispatchers override this to coalesce the batch into a
-        single transaction.
-        """
-        combined = OpReceipt()
-        for offset, data in extents:
-            combined.extend(self.write(object_no, offset, data))
-        return combined
+        """Write a batch of (offset, data) extents to one object as one
+        transaction."""
+        raise NotImplementedError
 
     def read_extents(self, object_no: int,
                      extents: Sequence[Tuple[int, int]]) -> Tuple[List[bytes], OpReceipt]:
-        """Read a batch of (offset, length) extents from one object.
+        """Read a batch of (offset, length) extents from one object with one
+        read operation; one buffer per requested extent, in order."""
+        raise NotImplementedError
 
-        Returns one buffer per requested extent, in order.  The fallback
-        issues one read operation per extent; batching dispatchers override
-        this to fetch the whole batch in a single operation.
-        """
-        pieces: List[bytes] = []
-        combined = OpReceipt()
-        for offset, length in extents:
-            data, receipt = self.read(object_no, offset, length)
-            pieces.append(data)
-            combined.extend(receipt)
-        return pieces, combined
+    def discard(self, object_no: int, offset: int, length: int) -> OpReceipt:
+        """Deallocate a range of an object: it reads as zeros afterwards and
+        no byte outside it changes."""
+        raise NotImplementedError
 
     def flush(self) -> None:
         """Flush any buffered state (the simulator writes through)."""
@@ -85,23 +60,6 @@ class RawObjectDispatcher(ObjectDispatcher):
 
     def _name(self, object_no: int) -> str:
         return object_name(self._image_id, object_no)
-
-    def write(self, object_no: int, offset: int, data: bytes) -> OpReceipt:
-        txn = WriteTransaction().write(offset, data)
-        return self._ioctx.operate_write(self._name(object_no), txn,
-                                         object_size_hint=self._object_size)
-
-    def read(self, object_no: int, offset: int, length: int) -> Tuple[bytes, OpReceipt]:
-        try:
-            result = self._ioctx.operate_read(
-                self._name(object_no), ReadOperation().read(offset, length))
-        except ObjectNotFoundError:
-            # Sparse region that has never been written: reads as zeros.
-            return bytes(length), OpReceipt()
-        data = result.results[0].data
-        if len(data) < length:
-            data = data + bytes(length - len(data))
-        return data, result.receipt
 
     def discard(self, object_no: int, offset: int, length: int) -> OpReceipt:
         txn = WriteTransaction().zero(offset, length)
@@ -126,6 +84,7 @@ class RawObjectDispatcher(ObjectDispatcher):
         try:
             result = self._ioctx.operate_read(self._name(object_no), readop)
         except ObjectNotFoundError:
+            # Sparse region that has never been written: reads as zeros.
             return [bytes(length) for _offset, length in extents], OpReceipt()
         pieces: List[bytes] = []
         for (_offset, length), op_result in zip(extents, result.results):

@@ -3,7 +3,10 @@
 An image is described by a header object holding its size, object size and
 snapshot table; its data lives in numbered data objects.  IO is striped
 over the data objects and handed to an :class:`ObjectDispatcher` — either
-the raw (plaintext) dispatcher or an encrypting one.
+the raw (plaintext) dispatcher or an encrypting one.  There is one data
+path, ``write_extents``/``read_extents``: each object receives its whole
+share of a batch in one dispatcher call, and a scalar ``write``/``read`` is
+a one-extent batch.
 
 Every data-path method returns (or stores into the returned value) an
 :class:`~repro.sim.ledger.OpReceipt` so the workload runner can account
@@ -274,21 +277,8 @@ class Image:
                 f"{self._header.size}")
 
     def write(self, offset: int, data) -> OpReceipt:
-        """Write ``data`` (any bytes-like object) at image byte ``offset``.
-
-        Per-object pieces are zero-copy views of the caller's buffer; the
-        dispatcher materialises bytes when it builds the RADOS transaction.
-        """
-        view = as_readonly_view(data)
-        self.check_io(offset, len(view))
-        if not len(view):
-            return OpReceipt()
-        combined: Optional[OpReceipt] = None
-        for extent in map_extent(offset, len(view), self._header.object_size):
-            piece = view[extent.buffer_offset:extent.buffer_offset + extent.length]
-            receipt = self._dispatcher.write(extent.object_no, extent.offset, piece)
-            combined = _merge_parallel(combined, receipt)
-        return combined or OpReceipt()
+        """Write ``data`` (any bytes-like object) at image byte ``offset``."""
+        return self.write_extents([(offset, data)])
 
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at image byte ``offset``."""
@@ -296,28 +286,18 @@ class Image:
 
     def read_with_receipt(self, offset: int, length: int) -> IoResult:
         """Read returning both the data and the aggregated cost receipt."""
-        self.check_io(offset, length)
-        if length == 0:
-            return IoResult(data=b"", receipt=OpReceipt())
-        pieces: List[bytes] = []
-        combined: Optional[OpReceipt] = None
-        for extent in map_extent(offset, length, self._header.object_size):
-            data, receipt = self._dispatcher.read(extent.object_no,
-                                                  extent.offset, extent.length)
-            pieces.append(data)
-            combined = _merge_parallel(combined, receipt)
-        return IoResult(data=b"".join(pieces), receipt=combined or OpReceipt())
-
-    # -- vectored data path (batched I/O engine) -------------------------------
+        pieces, receipt = self.read_extents([(offset, length)])
+        return IoResult(data=pieces[0], receipt=receipt)
 
     def write_extents(self, extents: Sequence[Tuple[int, bytes]]) -> OpReceipt:
         """Write several image-level extents as one batched operation.
 
         All extents are striped onto their objects and each object receives
         its whole share of the batch as a *single* dispatcher call (one
-        RADOS transaction for batching dispatchers).  Per-object pieces keep
-        the arrival order of ``extents``; objects are issued in parallel,
-        like libRBD AIO.
+        RADOS transaction).  Per-object pieces are zero-copy views of the
+        callers' buffers (the dispatcher materialises bytes when it builds
+        the transaction) and keep the arrival order of ``extents``; objects
+        are issued in parallel, like libRBD AIO.
         """
         per_object: Dict[int, List[Tuple[int, memoryview]]] = {}
         for offset, data in extents:
@@ -340,30 +320,34 @@ class Image:
 
         Returns one buffer per requested extent, in order, plus the
         aggregated receipt.  Each object serves its whole share of the batch
-        through a single dispatcher call (one RADOS read operation for
-        batching dispatchers); objects are read in parallel.
+        through a single dispatcher call (one RADOS read operation);
+        objects are read in parallel.
         """
-        buffers: List[bytearray] = []
+        #: per extent, its per-object pieces in image order
+        parts: List[List[bytes]] = []
         per_object: Dict[int, List[Tuple[int, int]]] = {}
-        #: (extent index, buffer offset) for each per-object piece, in order
+        #: (extent index, piece index) for each per-object piece, in order
         placements: Dict[int, List[Tuple[int, int]]] = {}
         for index, (offset, length) in enumerate(extents):
             self.check_io(offset, length)
-            buffers.append(bytearray(length))
-            for extent in map_extent(offset, length, self._header.object_size):
+            mapped = map_extent(offset, length, self._header.object_size)
+            parts.append([b""] * len(mapped))
+            for position, extent in enumerate(mapped):
                 per_object.setdefault(extent.object_no, []).append(
                     (extent.offset, extent.length))
                 placements.setdefault(extent.object_no, []).append(
-                    (index, extent.buffer_offset))
+                    (index, position))
         combined: Optional[OpReceipt] = None
         for object_no, object_extents in per_object.items():
             pieces, receipt = self._dispatcher.read_extents(object_no,
                                                             object_extents)
-            for piece, (index, buffer_offset) in zip(pieces,
-                                                     placements[object_no]):
-                buffers[index][buffer_offset:buffer_offset + len(piece)] = piece
+            for piece, (index, position) in zip(pieces,
+                                                placements[object_no]):
+                parts[index][position] = piece
             combined = _merge_parallel(combined, receipt)
-        return [bytes(buffer) for buffer in buffers], combined or OpReceipt()
+        # Joining a lone piece hands it back as it is: an extent inside one
+        # object is never copied here.
+        return [b"".join(pieces) for pieces in parts], combined or OpReceipt()
 
     def discard(self, offset: int, length: int) -> OpReceipt:
         """Deallocate an image byte range."""

@@ -403,10 +403,7 @@ def simulate_closed_loop(params: CostParameters,
     if queue_depth <= 0:
         raise ConfigurationError("queue depth must be positive")
     compact = encode_streams(streams)
-    if not any(s.num_ops for s in compact):
-        raise ConfigurationError(
-            "event simulation needs at least one traced operation "
-            "(was ledger.trace_ops enabled during the run?)")
+    _check_replayable(compact)
     if tracer is not None:
         return replay_closed_loop(params, compact, queue_depth, tracer)
     payloads = [(params, compact[lo:hi], "closed", queue_depth, None)
@@ -434,10 +431,7 @@ def simulate_fleet(params: CostParameters,
     if len(arrivals_us) != len(compact):
         raise ConfigurationError(
             f"{len(arrivals_us)} arrival arrays for {len(compact)} clients")
-    if not any(s.num_ops for s in compact):
-        raise ConfigurationError(
-            "event simulation needs at least one traced operation "
-            "(was ledger.trace_ops enabled during the run?)")
+    _check_replayable(compact)
     schedule, base = _checked_schedule(compact, arrivals_us)
     if tracer is not None:
         return replay_open_loop(params, compact,
@@ -453,6 +447,18 @@ def simulate_fleet(params: CostParameters,
                           open_loop=True)
 
 
+def _check_replayable(streams: Sequence[CompactStream]) -> None:
+    """What the closed loop and the fleet both refuse, the same way."""
+    if not any(s.num_ops for s in streams):
+        raise ConfigurationError(
+            "event simulation needs at least one traced operation "
+            "(was ledger.trace_ops enabled during the run?)")
+    if int(column_table(streams, "op_requests")[0].min()) <= 0:
+        raise ConfigurationError(
+            "every operation must complete at least one request "
+            "(ClientOpTrace.requests must be positive)")
+
+
 def _checked_schedule(streams: Sequence[CompactStream],
                       arrivals_us: Sequence[Sequence[float]],
                       ) -> Tuple[np.ndarray, np.ndarray]:
@@ -464,10 +470,6 @@ def _checked_schedule(streams: Sequence[CompactStream],
     index machine and a traced run reject the same inputs the same way.
     """
     shapes, shape_of = distinct_by_identity(streams)
-    if int(column_table(shapes, "op_requests")[0].min()) <= 0:
-        raise ConfigurationError(
-            "every operation must complete at least one request "
-            "(ClientOpTrace.requests must be positive)")
     ops_per_client = np.array([s.num_ops for s in shapes],
                               dtype=np.int64)[shape_of]
     try:

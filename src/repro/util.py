@@ -54,7 +54,7 @@ def bounded_cache_get(cache: dict, key, factory, max_entries: int = 16):
     ``max_entries``: the working sets it serves (sector sizes, batch
     shapes, derived keys) are tiny and recurring, so anything smarter than
     clear-all would be wasted machinery.  Shared by the AES tiled-round-key
-    cache, the derived-IV cipher cache and :class:`ScratchPool`.
+    cache and the derived-IV cipher cache.
     """
     value = cache.get(key)
     if value is not None:
@@ -96,35 +96,6 @@ def chunked_views(data, size: int) -> Iterator[memoryview]:
     view = memoryview(data)
     for off in range(0, len(view), size):
         yield view[off:off + size]
-
-
-class ScratchPool:
-    """A tiny pool of reusable scratch bytearrays, keyed by size.
-
-    The read-modify-write path assembles partial encryption blocks in a
-    scratch buffer; allocating a fresh bytearray per block shows up at
-    queue depth 1.  A borrowed buffer is valid until the next ``take`` of
-    the same size — callers must finish consuming (encrypting /
-    materialising) it before borrowing again, which the dispatcher's
-    one-block-at-a-time scalar path guarantees.
-    """
-
-    def __init__(self, max_sizes: int = 8) -> None:
-        self._buffers: dict = {}
-        self._max_sizes = max_sizes
-
-    def take(self, size: int, zero: bool = True) -> bytearray:
-        """Borrow a scratch buffer of exactly ``size`` bytes.
-
-        ``zero=False`` skips clearing for callers that overwrite every
-        byte before reading any (e.g. full read-modify-write assembly).
-        """
-        buf, reused = bounded_cache_get(self._buffers, size,
-                                        lambda: bytearray(size),
-                                        self._max_sizes)
-        if reused and zero:
-            buf[:] = bytes(size)
-        return buf
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -104,6 +104,16 @@ class TestSweepAndReports:
         series = small_sweep.overhead_series("object-end")
         assert series[0][0] == 16 * KIB
 
+    def test_clone_sweep_on_an_ec_pool(self):
+        """The clone fan-out must open its golden image in the sweep's pool
+        (it looked in "rbd": ``ImageNotFoundError``)."""
+        config = SweepConfig(io_sizes=(16 * KIB,), layouts=("object-end",),
+                             image_size=4 * MIB, bytes_per_point=256 * KIB,
+                             clone_of="golden", clone_depth=1,
+                             pool_ec=(4, 2), osd_count=8)
+        sweep = LayoutSweep(config).run("write")
+        assert sweep.bandwidth("object-end", 16 * KIB) > 0
+
     def test_invalid_sweep_kind(self):
         with pytest.raises(ConfigurationError):
             LayoutSweep(quick_sweep_config()).run("bogus")

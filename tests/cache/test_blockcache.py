@@ -219,9 +219,9 @@ class TestSemantics:
         assert cached.dirty_blocks == 0
 
     def test_partial_discard_matches_uncached_semantics(self):
-        """Discard granularity is the inner dispatcher's business (the
-        crypto dispatcher zeroes whole covering blocks); cached reads must
-        agree with an uncached image that saw the same operations."""
+        """A discard inside a block zeroes exactly its bytes, which is the
+        dispatcher's business, not the cache's; cached reads must agree
+        with an uncached image that saw the same operations."""
         cluster, cached = _cached()
         reference_cluster, reference = _cached()
         reference = reference.image                     # uncached twin

@@ -205,9 +205,9 @@ def test_writeback_saves_transactions_on_rewrites(layout):
 @pytest.mark.parametrize("mode,cache_size", [("writethrough", 2 * MIB),
                                              ("writeback", 256 * 1024)])
 def test_cache_matches_uncached_with_discards(mode, cache_size):
-    """Discards have dispatcher-defined granularity (the crypto dispatcher
-    zeroes whole covering blocks): every read and the final state through
-    the cache must match an uncached image that saw the same stream."""
+    """A discard zeroes exactly its byte range, block-aligned or not: every
+    read and the final state through the cache must match an uncached
+    image that saw the same stream."""
     image_size = 2 * MIB
     plain_cluster, plain_image = _make_image("object-end", "eq-disc",
                                              image_size, object_size=1 * MIB)

@@ -13,7 +13,7 @@ import pytest
 
 from repro import api
 from repro.engine import EngineConfig, IoPipeline
-from repro.util import MIB, ScratchPool, as_readonly_view, chunked_views
+from repro.util import MIB, as_readonly_view, chunked_views
 
 
 def make_pipeline(queue_depth=4, layout="object-end"):
@@ -100,14 +100,3 @@ class TestViewHelpers:
     def test_chunked_views_rejects_bad_size(self):
         with pytest.raises(ValueError):
             list(chunked_views(b"x", 0))
-
-    def test_scratch_pool_reuses_and_zeroes(self):
-        pool = ScratchPool()
-        first = pool.take(32)
-        assert first == bytearray(32)
-        first[:] = b"\xff" * 32
-        again = pool.take(32)
-        assert again is first
-        assert again == bytearray(32)
-        dirty = pool.take(32, zero=False)
-        assert dirty is first  # unzeroed borrow skips the clear

@@ -33,11 +33,11 @@ def _ec_cluster(osd_count=12, min_size=None):
     return cluster
 
 
-def _make_image(cluster, layout, name="ec-equiv"):
+def _make_image(cluster, layout, name="ec-equiv", pool=POOL):
     image, _info = create_encrypted_image(
         cluster, name, IMAGE_SIZE, passphrase=b"ec-equivalence",
         encryption_format=layout, cipher_suite="blake2-xts-sim",
-        object_size=OBJECT_SIZE, pool=POOL,
+        object_size=OBJECT_SIZE, pool=pool,
         random_seed=b"ec-equivalence-seed")
     return image
 
@@ -139,3 +139,24 @@ class TestDegradedReadEquivalence:
         assert cluster.ledger.counter("recovery.ec_objects_repaired") > 0
         assert not verify_replica_consistency(cluster, POOL)
         assert image.read(0, IMAGE_SIZE) == bytes(expected)
+
+
+@pytest.mark.parametrize("degraded", [False, True], ids=["healthy", "degraded"])
+@pytest.mark.parametrize("pool", ["rbd", POOL])
+def test_snapshot_read_of_an_object_born_later_is_zeros(pool, degraded,
+                                                        any_layout):
+    """An object first written after a snapshot did not exist then.  Its
+    first write leaves an empty clone for the snapshot on every shard; an
+    EC read took those for shards without an index and raised
+    ``DegradedClusterError: only 0 of 4 required EC chunks reachable``
+    where a replicated pool read zeros."""
+    cluster = _ec_cluster()
+    image = _make_image(cluster, any_layout, pool=pool)
+    image.create_snapshot("s1")
+    image.write(100, b"\x77" * 9000)
+    if degraded:
+        cluster.mark_osd_down(cluster.up_set(pool, _data_object(image))[0])
+    image.set_read_snapshot("s1")
+    assert image.read(0, 3 * 4096) == bytes(3 * 4096)
+    image.set_read_snapshot(None)
+    assert image.read(100, 9000) == b"\x77" * 9000

@@ -34,7 +34,8 @@ from repro.errors import ConfigurationError
 from repro.obs.spans import SpanTracer
 from repro.sim.compact import encode_stream
 from repro.sim.costparams import CostParameters
-from repro.sim.fleet import fleet_streams_from_template, simulate_fleet
+from repro.sim.fleet import (fleet_streams_from_template,
+                             simulate_closed_loop, simulate_fleet)
 from repro.sim.ledger import ClientOpTrace, OpTrace, OsdVisit
 from repro.sim.replay import replay_open_loop
 from repro.sim.reservoir import CLIENT_RESERVOIR_CAPACITY, LatencyReservoir
@@ -332,6 +333,13 @@ class TestInputChecks:
         with pytest.raises(ConfigurationError, match="requests"):
             simulate_fleet(params, [stream], [[1.0, 2.0, 3.0]],
                            tracer=tracer)
+
+    @pytest.mark.parametrize("requests", [0, -1])
+    def test_the_closed_loop_rejects_them_the_same_way(self, requests):
+        # it ran the replay and died with ZeroDivisionError
+        stream = [self.THREE[0], _op(0, 1, [1], requests=requests)]
+        with pytest.raises(ConfigurationError, match="requests"):
+            simulate_closed_loop(_params(), [stream], queue_depth=2)
 
     def test_messages_of_the_old_checks_are_kept(self):
         two = [self.THREE, self.THREE]

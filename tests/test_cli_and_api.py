@@ -139,6 +139,13 @@ class TestCli:
                      "--clone-of", "golden"]) == 0
         assert "MiB/s" in capsys.readouterr().out
 
+    def test_sweep_clone_of_on_an_ec_pool(self, capsys):
+        assert main(["sweep", "--kind", "write", "--sizes", "16K",
+                     "--layouts", "object-end", "--image-size", "4M",
+                     "--bytes-per-point", "256K", "--clone-of", "golden",
+                     "--pool-ec", "4,2", "--osds", "8"]) == 0
+        assert "MiB/s" in capsys.readouterr().out
+
     def test_sweep_clone_depth_with_flatten(self, capsys):
         assert main(["sweep", "--kind", "read", "--sizes", "16K",
                      "--layouts", "object-end", "--image-size", "4M",

@@ -87,6 +87,30 @@ def test_main_end_to_end(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+def test_last_line_names_what_moved_inside_the_band(tmp_path, capsys):
+    """+-10% hides a stale baseline; the summary does not."""
+    results = _write(tmp_path / "bench-results.json", [
+        {"name": "b1", "extra_info": {"iops": 100.0, "p99_us": 347.3,
+                                      "speedup_x": 12.0, "label": "omap"}},
+        {"name": "b2", "extra_info": {"reads": 4}},
+    ])
+    first = _write(tmp_path / "BENCH_1.json", [
+        {"name": "b1", "extra_info": {"iops": 100.0, "p99_us": 348.7,
+                                      "speedup_x": 20.0, "label": "omap"}},
+    ])
+    second = _write(tmp_path / "BENCH_2.json", [
+        {"name": "b2", "extra_info": {"reads": 4}},
+    ])
+    assert main([results, first, second]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "summary: 2 of 3 modelled values bit-equal to their baselines, "
+        "1 moved inside the +-10% band: b1:p99_us 348.7 -> 347.3")
+    assert main([results, second]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "summary: 1 of 1 modelled values bit-equal to their baselines, "
+        "0 moved inside the +-10% band")
+
+
 def test_newly_added_baseline_file_joins_the_gate(tmp_path, capsys):
     """Adding a baseline for a brand-new benchmark (the BENCH_ec.json
     pattern): the new file gates its own benchmark without disturbing the

@@ -28,11 +28,8 @@ def test_tiny_corpus_written_twice_is_byte_identical():
     records = dict(chunk.split(" ==\n", 1)
                    for chunk in text.split("== ")[1:])
     assert len(records) == 16 + 4
-    # nothing fails but the writes that must be refused (EC records aside:
-    # a snapshot-routed read of an object born after the snapshot raises
-    # DegradedClusterError there, on every tree - CHANGES.md, PR 19)
-    failed = {name for name, body in records.items()
-              if "error=" in body and "/ec42/" not in name}
+    # nothing fails but the writes that must be refused
+    failed = {name for name, body in records.items() if "error=" in body}
     assert failed == {"wide/writeback-over-clone/past-end",
                       "wide/pwl/past-end"}
     assert records["wide/pwl/past-end"].count("error=RbdError: ") == 3

@@ -17,6 +17,11 @@ Two kinds of numeric ``extra_info`` metrics, two gates:
 Non-numeric values are ignored.  A benchmark or metric disappearing is
 always a failure: renames must update the committed baseline.
 
+The band hides small moves, so the last line printed is a summary: how
+many model outputs are bit-equal to their baselines and, by name with
+baseline -> now, which moved inside the band.  A PR that claims "one
+number moved" is checked against that line.
+
 Usage::
 
     python tools/check_bench_drift.py bench-results.json \
@@ -28,7 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 #: drift tolerance for deterministic model metrics
 DRIFT_TOLERANCE = 0.10
@@ -82,10 +87,16 @@ def compare_metric(name: str, key: str, baseline_value: float,
         raise DriftError(f"{name}:{key} drifted {drift:.1%}")
 
 
+#: one model output: its ``benchmark:key`` label, baseline value, value now
+Modelled = Tuple[str, float, float]
+
+
 def compare_baseline(baseline: Dict[str, Dict[str, object]],
                      current: Dict[str, Dict[str, object]],
-                     log: List[str]) -> None:
-    """Gate every numeric metric of one baseline file against ``current``."""
+                     log: List[str]) -> List[Modelled]:
+    """Gate every numeric metric of one baseline file against ``current``;
+    returns the model outputs compared (measured speedups are not)."""
+    modelled: List[Modelled] = []
     for name, info in baseline.items():
         now = current.get(name)
         if now is None:
@@ -96,6 +107,20 @@ def compare_baseline(baseline: Dict[str, Dict[str, object]],
             if key not in now:
                 raise DriftError(f"{name}: metric {key} disappeared")
             compare_metric(name, key, value, now[key], log)
+            if not key.startswith("speedup_"):
+                modelled.append((f"{name}:{key}", value, now[key]))
+    return modelled
+
+
+def drift_summary(modelled: List[Modelled]) -> str:
+    """One line: how many model outputs are bit-equal to their baselines
+    and which moved inside the band (baseline -> now)."""
+    moved = [f"{label} {before} -> {now}"
+             for label, before, now in modelled if before != now]
+    line = (f"summary: {len(modelled) - len(moved)} of {len(modelled)} "
+            f"modelled values bit-equal to their baselines, {len(moved)} "
+            f"moved inside the +-{DRIFT_TOLERANCE:.0%} band")
+    return line + (": " + "; ".join(moved) if moved else "")
 
 
 def main(argv: Iterable[str] = None) -> int:
@@ -107,15 +132,17 @@ def main(argv: Iterable[str] = None) -> int:
 
     current = load_extra_info(args.results)
     log: List[str] = []
+    modelled: List[Modelled] = []
     try:
         for baseline_file in args.baselines:
-            compare_baseline(load_extra_info(baseline_file), current, log)
+            modelled += compare_baseline(load_extra_info(baseline_file),
+                                         current, log)
             log.append(f"{baseline_file}: benchmark trajectory OK")
     except DriftError as exc:
         print("\n".join(log))
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    print("\n".join(log))
+    print("\n".join(log + [drift_summary(modelled)]))
     return 0
 
 

@@ -160,10 +160,11 @@ def below_caches(image):
 def make_script(seed: str, count: int = SCRIPT_OPS) -> List[Op]:
     """The seeded op list a ``stack/`` record runs.
 
-    Discards are block-aligned (the crypto dispatcher zeroes whole
-    covering blocks, so only aligned ones mean the same on every
-    stacking) and nothing reads past the current size; otherwise offsets
-    and lengths are arbitrary.  ``invalidate`` drops a cache's (clean)
+    Discards are block-aligned (trees before PR 20 zeroed every block a
+    discard touched, and the script must mean the same on both trees of a
+    comparison; ``tests/rbd/test_single_data_path.py`` issues the
+    unaligned ones) and nothing reads past the current size; otherwise
+    offsets and lengths are arbitrary.  ``invalidate`` drops a cache's (clean)
     blocks where the front-end has such a call and is a no-op elsewhere.
     """
     rng = random.Random(seed)
