@@ -82,6 +82,10 @@ class PlacementMap:
                 f"failure_domain={failure_domain!r} needs at least two "
                 f"{failure_domain}s, topology has {len(self._domains)}")
         self._out: Set[int] = set()
+        # (pg, count) -> placement under the current out set.  Everything
+        # else a draw reads is fixed at construction, so whatever mutates
+        # ``_out`` clears this and nothing else has to.
+        self._memo: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     # -- topology -----------------------------------------------------------------
 
@@ -141,6 +145,7 @@ class PlacementMap:
             raise ConfigurationError(
                 f"cannot mark unknown OSD id {osd_id} out")
         self._out.add(osd_id)
+        self._memo.clear()
 
     def mark_in(self, osd_id: int) -> None:
         """Return a previously out OSD to the draw."""
@@ -148,6 +153,7 @@ class PlacementMap:
             raise ConfigurationError(
                 f"cannot mark unknown OSD id {osd_id} in")
         self._out.discard(osd_id)
+        self._memo.clear()
 
     def is_out(self, osd_id: int) -> bool:
         """True when the OSD is excluded from placement."""
@@ -218,21 +224,33 @@ class PlacementMap:
         placed.  Domains whose OSDs are all out are skipped, so the up set
         may be shorter than ``count`` on a heavily degraded map — the
         client's quorum check decides whether that is fatal.
+
+        The descent runs once per ``(pg, count)`` and in/out set (real
+        clients likewise recompute PG -> OSD only on a map change); every
+        call validates its arguments and gets a list of its own.
         """
         if count <= 0:
             raise ConfigurationError("replica count must be positive")
         if count > len(self._osd_ids):
             raise ConfigurationError(
                 f"cannot place {count} replicas on {len(self._osd_ids)} OSDs")
-        chosen: List[int] = []
-        for _name, members in self._rank_domains(pg):
-            osd_id = self._best_in_domain(pg, members)
-            if osd_id is None:
-                continue
-            chosen.append(osd_id)
-            if len(chosen) == count:
-                break
-        return chosen
+        # Exactly ``int``: ``True`` and ``3.0`` hash like 1 and 3 but draw
+        # different straws, so they must never reach the memo.
+        if type(pg) is not int or not 0 <= pg < self._pg_count:
+            raise ConfigurationError(
+                f"pg must be an int in [0, {self._pg_count}), got {pg!r}")
+        placed = self._memo.get((pg, count))
+        if placed is None:
+            chosen: List[int] = []
+            for _name, members in self._rank_domains(pg):
+                osd_id = self._best_in_domain(pg, members)
+                if osd_id is None:
+                    continue
+                chosen.append(osd_id)
+                if len(chosen) == count:
+                    break
+            placed = self._memo[(pg, count)] = tuple(chosen)
+        return list(placed)
 
     def osds_for_object(self, pool: str, name: str, count: int) -> List[int]:
         """Ordered OSD ids (primary first) for ``count`` replicas."""

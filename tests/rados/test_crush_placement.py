@@ -11,10 +11,14 @@ Hypothesis over random topologies:
   replica count the topology can satisfy.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.rados import placement as placement_module
 from repro.rados.placement import (CrushLocation, PlacementMap,
                                    uniform_topology)
 
@@ -195,3 +199,161 @@ class TestTopologyBuilder:
         with pytest.raises(ConfigurationError):
             PlacementMap([0, 1], locations={0: CrushLocation(host="a")},
                          failure_domain="host")
+
+
+class TestPgValidation:
+    """``osds_for_pg`` used to place any ``pg`` it was handed; the range
+    check is also what bounds the placement memo."""
+
+    @pytest.mark.parametrize("bad", [-5, -1, 8, 10 ** 9, 3.5, 3.0, True,
+                                     "3", None])
+    def test_rejects_pg_outside_the_map(self, bad):
+        pmap = PlacementMap([0, 1, 2], pg_count=8)
+        for lookalike in (1, 3):  # what True and 3.0 would hit in the memo
+            pmap.osds_for_pg(lookalike, 2)
+        with pytest.raises(ConfigurationError):
+            pmap.osds_for_pg(bad, 2)
+
+    def test_every_pg_of_the_map_is_accepted(self):
+        pmap = PlacementMap([0, 1, 2], pg_count=8)
+        assert all(len(pmap.osds_for_pg(pg, 2)) == 2 for pg in range(8))
+
+    @pytest.mark.parametrize("count", [0, -1, 4])
+    def test_count_validation_fires_on_a_memo_hit(self, count):
+        pmap = PlacementMap([0, 1, 2], pg_count=8)
+        for valid in (1, 2, 3):
+            pmap.pg_map(valid)
+        for _ in range(2):  # invalid calls are never memoised either
+            with pytest.raises(ConfigurationError):
+                pmap.osds_for_pg(0, count)
+            with pytest.raises(ConfigurationError):
+                pmap.osds_for_object("rbd", "x", count)
+
+
+_PG_COUNT = 16
+
+
+@st.composite
+def _topologies(draw):
+    """Constructor arguments of a flat, host or rack map with drawn weights."""
+    failure_domain = draw(st.sampled_from(["osd", "host", "rack"]))
+    osd_ids = list(range(draw(st.integers(min_value=4, max_value=12))))
+    kwargs = {"pg_count": _PG_COUNT, "failure_domain": failure_domain}
+    if failure_domain != "osd":
+        hosts = draw(st.integers(min_value=2, max_value=len(osd_ids)))
+        racks = draw(st.integers(min_value=2, max_value=hosts)) \
+            if failure_domain == "rack" else 1
+        kwargs["locations"] = uniform_topology(osd_ids, hosts, racks=racks)
+    kwargs["weights"] = draw(st.dictionaries(
+        st.sampled_from(osd_ids),
+        st.floats(min_value=0.25, max_value=8.0, allow_nan=False)))
+    return osd_ids, kwargs
+
+
+_OPS = st.one_of(
+    st.tuples(st.sampled_from(["mark_out", "mark_in"]),
+              st.integers(min_value=0, max_value=11)),
+    st.tuples(st.just("osds_for_pg"),
+              st.integers(min_value=0, max_value=_PG_COUNT - 1),
+              st.integers(min_value=1, max_value=3)),
+    st.tuples(st.just("osds_for_object"),
+              st.sampled_from(["rbd", "ec"]),
+              st.sampled_from(["a", "b", "rbd_data.img.0000000000000007"]),
+              st.integers(min_value=1, max_value=3)),
+    st.tuples(st.just("pg_map"), st.integers(min_value=1, max_value=3)))
+
+
+class TestPlacementMemo:
+    """The ``(pg, count)`` memo inside ``PlacementMap`` is invisible."""
+
+    @given(topology=_topologies(), ops=st.lists(_OPS, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_any_interleaving_answers_like_a_fresh_map(self, topology, ops):
+        osd_ids, kwargs = topology
+        pmap = PlacementMap(osd_ids, **kwargs)
+        for name, *args in ops:
+            if name in ("mark_out", "mark_in"):
+                getattr(pmap, name)(args[0] % len(osd_ids))
+                continue
+            fresh = PlacementMap(osd_ids, **kwargs)
+            for osd_id in pmap.out_osds:
+                fresh.mark_out(osd_id)
+            answer = getattr(pmap, name)(*args)
+            assert answer == getattr(fresh, name)(*args), (name, args)
+            # The caller owns what it was handed: wrecking it changes
+            # no later answer.
+            for osds in (answer.values() if name == "pg_map" else [answer]):
+                assert type(osds) is list
+                osds.append(-1)
+                osds.reverse()
+            assert getattr(pmap, name)(*args) == getattr(fresh, name)(*args)
+
+    def test_memo_is_bounded_by_pgs_times_counts(self):
+        pmap = PlacementMap(list(range(6)), pg_count=8)
+        for round_ in range(3):
+            for index in range(200):
+                pmap.osds_for_object("rbd", f"obj{round_}.{index}", 3)
+                pmap.osds_for_object("rbd", f"obj{round_}.{index}", 1)
+        assert len(pmap._memo) <= 8 * 2
+
+
+PLACEMENT_SOURCE = Path(placement_module.__file__).read_text()
+
+# What a ``set`` can do that a ``frozenset`` cannot: exactly its mutators.
+_SET_MUTATORS = set(dir(set)) - set(dir(frozenset))
+
+
+def _is_self_attr(node, attr):
+    return (isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def out_mutators_that_keep_the_memo(source):
+    """``PlacementMap`` methods that change ``self._out`` (a mutating set
+    call, any kind of assignment, a ``del``) without ``self._memo.clear()``."""
+    cls = next(node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef) and node.name == "PlacementMap")
+    forgetful = []
+    for func in cls.body:
+        # __init__ creates both attributes; there is nothing to clear yet.
+        if not isinstance(func, ast.FunctionDef) or func.name == "__init__":
+            continue
+        mutates = clears = False
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute):
+                if _is_self_attr(node.func.value, "_out") \
+                        and node.func.attr in _SET_MUTATORS:
+                    mutates = True
+                if _is_self_attr(node.func.value, "_memo") \
+                        and node.func.attr == "clear":
+                    clears = True
+            elif _is_self_attr(node, "_out") \
+                    and isinstance(node.ctx, (ast.Store, ast.Del)):
+                mutates = True
+        if mutates and not clears:
+            forgetful.append(func.name)
+    return forgetful
+
+
+class TestMemoSeam:
+    def test_every_out_set_mutator_clears_the_memo(self):
+        assert out_mutators_that_keep_the_memo(PLACEMENT_SOURCE) == []
+
+    def test_the_check_catches_a_third_mutator_that_forgets(self):
+        """The check is live: a new way to change the out set, a dropped
+        ``clear()`` and a rebinding all trip it."""
+        pasted = PLACEMENT_SOURCE.replace(
+            "    def is_out(self",
+            "    def mark_all_in(self) -> None:\n"
+            "        self._out.clear()\n\n"
+            "    def swap_out(self, osds) -> None:\n"
+            "        self._out |= set(osds)\n\n"
+            "    def is_out(self", 1)
+        assert pasted != PLACEMENT_SOURCE
+        assert out_mutators_that_keep_the_memo(pasted) == ["mark_all_in",
+                                                           "swap_out"]
+        dropped = PLACEMENT_SOURCE.replace(
+            "        self._out.discard(osd_id)\n        self._memo.clear()\n",
+            "        self._out.discard(osd_id)\n", 1)
+        assert out_mutators_that_keep_the_memo(dropped) == ["mark_in"]
