@@ -13,7 +13,12 @@ runs (1,000 clients, millions of requests) need on top of it:
   wall-clock seconds.  The scans are batched *across* clients as well:
   columns are read through tables of the fleet's distinct arrays and
   the private client stations run as one matrix per distinct row width,
-  so nothing but attribute reads happens per client.
+  so nothing but attribute reads happens per client.  Sorting is done
+  on the keys that decide: issue order is a stable sort on the arrival
+  column (input position is the tie-break), the primaries are put in
+  backend-network order once and their replicas inherit it, and the OSD
+  queues are a stable time sort, a radix pass on the OSD id and a
+  repair of the tied runs (:func:`_time_order`).
 * **Sharding** — clients (and the queues they drive) are partitioned
   into ``params.sim_shards`` independent contention domains, replayed
   separately and merged deterministically; ``params.sim_jobs`` worker
@@ -87,6 +92,35 @@ def _group_arange(counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
 
 
+def _time_order(times: np.ndarray, rank: np.ndarray, vrank: np.ndarray,
+                queue: Optional[np.ndarray] = None) -> np.ndarray:
+    """Exactly ``np.lexsort((vrank, rank, times[, queue]))``.
+
+    A stable sort on ``times``, then a stable sort on ``queue`` over it;
+    ``rank`` and ``vrank`` are read only for elements that tie on both,
+    all tied runs in one ``lexsort`` keyed by run.  ``times`` holds no NaN
+    (:func:`_check_replayable`): NaN is a tie ``==`` cannot see.
+    """
+    order = np.argsort(times, kind="stable")
+    if queue is not None:
+        ids = queue[order]
+        if ids.size and -2**15 <= ids.min() and ids.max() < 2**15:
+            ids = ids.astype(np.int16)      # numpy's O(n) radix sort
+        by_queue = np.argsort(ids, kind="stable")
+        order, ids = order[by_queue], ids[by_queue]
+    ahead = times[order]
+    tied = ahead[1:] == ahead[:-1]      # element i + 1 ties with element i
+    if queue is not None:
+        tied &= ids[1:] == ids[:-1]
+    if tied.any():
+        after = np.concatenate(([False], tied))
+        runs = np.flatnonzero(after | np.concatenate((tied, [False])))
+        members = order[runs]
+        order[runs] = members[np.lexsort(
+            (vrank[members], rank[members], np.cumsum(~after[runs])))]
+    return order
+
+
 def _column_reader(streams: Sequence[CompactStream], name: str,
                    ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """``read(stream, index)``: element ``index[k]`` of column ``name`` of
@@ -122,6 +156,13 @@ def _vectorized_open_loop(params: CostParameters,
     with distinct event timestamps (ties break by deterministic issue
     order here and by event sequence numbers there).
 
+    What orders what: ``g_rank`` is a stable sort on arrival (columns
+    are in (client, op) order, so position breaks ties); the primaries
+    are put in (arrival, rank) order once, so the replicas repeated from
+    them are born in the backend network's FIFO order; the OSD queues
+    go through :func:`_time_order`.  Every sum still adds the same values
+    in the same order as a full multi-key sort would leave them in.
+
     Nothing below loops over clients.  Columns are read through tables
     of the fleet's *distinct* arrays, every fleet-wide column is in
     (client, op[, visit]) order, and the private client stations run as
@@ -147,9 +188,8 @@ def _vectorized_open_loop(params: CostParameters,
     g_client = np.repeat(np.arange(num_clients, dtype=np.int64),
                          ops_per_client)
     g_op = _group_arange(ops_per_client)
-    order = np.lexsort((g_op, g_client, g_T))
     g_rank = np.empty(n_ops, dtype=np.int64)
-    g_rank[order] = np.arange(n_ops, dtype=np.int64)
+    g_rank[np.argsort(g_T, kind="stable")] = np.arange(n_ops, dtype=np.int64)
     g_shape = shape_of[g_client]
     g_requests = _column_reader(shapes, "op_requests")(g_shape, g_op)
 
@@ -191,11 +231,13 @@ def _vectorized_open_loop(params: CostParameters,
     no_visit = vpt == 0
     g_done[real_g[no_visit]] = prim_arr[no_visit] + half[no_visit]
 
-    # --- primaries, then the replica fan-out of each ---
+    # --- primaries in (arrival, rank) order, then the fan-out of each ---
     visit_osd = _column_reader(shapes, "visit_osd")
     visit_svc = _column_reader(shapes, "visit_service_us")
     visit_lat = _column_reader(shapes, "visit_latency_us")
     has = np.flatnonzero(vpt)
+    has = has[_time_order(prim_arr[has], g_rank[real_g[has]],
+                          np.zeros(has.size, dtype=np.int64))]
     p_shape, p_visit, p_arr, p_gop = (r_shape[has], r_visit[has],
                                       prim_arr[has], real_g[has])
     p_rank = g_rank[p_gop]
@@ -215,15 +257,11 @@ def _vectorized_open_loop(params: CostParameters,
     r_push = _column_reader(shapes, "visit_push_us")(rep_shape, rep_visit)
     r_hop = _column_reader(shapes, "visit_hop_us")(rep_shape, rep_visit)
 
-    # --- backend network: every replica push through one shared queue ---
+    # --- backend network: one shared queue, already in its FIFO order ---
     cluster_busy = 0.0
     cluster_wait = 0.0
     r_arrival = r_arr
     if r_osd.size:
-        net_order = np.lexsort((r_vrank, r_rank, r_arr))
-        r_osd, r_arr, r_svc, r_lat, r_gop, r_rank, r_vrank, r_push, r_hop = (
-            a[net_order] for a in (r_osd, r_arr, r_svc, r_lat, r_gop,
-                                   r_rank, r_vrank, r_push, r_hop))
         push_start, push_end = _fifo_scan(r_arr, r_push)
         cluster_busy = float(r_push.sum())
         cluster_wait = float((push_start - r_arr).sum())
@@ -244,7 +282,7 @@ def _vectorized_open_loop(params: CostParameters,
     osd_busy: Dict[int, float] = {}
     osd_wait: Dict[int, float] = {}
     if v_osd.size:
-        osd_order = np.lexsort((v_vrank, v_rank, v_arr, v_osd))
+        osd_order = _time_order(v_arr, v_rank, v_vrank, queue=v_osd)
         s_osd = v_osd[osd_order]
         s_arr = v_arr[osd_order]
         s_svc = v_svc[osd_order]
@@ -453,10 +491,21 @@ def _check_replayable(streams: Sequence[CompactStream]) -> None:
         raise ConfigurationError(
             "event simulation needs at least one traced operation "
             "(was ledger.trace_ops enabled during the run?)")
-    if int(column_table(streams, "op_requests")[0].min()) <= 0:
+    # a tiled fleet shares its columns: each distinct array is read once
+    shapes, _ = distinct_by_identity(streams)
+    if int(column_table(shapes, "op_requests")[0].min()) <= 0:
         raise ConfigurationError(
             "every operation must complete at least one request "
             "(ClientOpTrace.requests must be positive)")
+    for name in ("trace_cpu_us", "trace_net_us", "trace_rtt_us",
+                 "visit_service_us", "visit_latency_us", "visit_hop_us",
+                 "visit_push_us"):
+        costs = column_table(shapes, name)[0]
+        bad = ~((costs >= 0.0) & (costs < np.inf))      # NaN fails both
+        if bad.any():
+            raise ConfigurationError(
+                f"cost column {name} must be finite and non-negative "
+                f"(got {float(costs[bad][0])!r})")
 
 
 def _checked_schedule(streams: Sequence[CompactStream],

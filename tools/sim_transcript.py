@@ -28,8 +28,16 @@ both trees.  The corpus, all of it derived from fixed seeds:
   ``CLIENT_RESERVOIR_CAPACITY`` (so the reservoir RNG runs), and the
   occasional serial chain or ``osd_shards=2`` that sends the replay to the
   index machine; every twelfth fleet has no operation at all;
+* ``ties/...`` — fleets built to collide: every client on the same
+  arrival schedule, integer-valued times and costs (so client-station,
+  backend-network and OSD arrivals coincide across clients), zero or
+  integer hop/push, every visit on one OSD or on very few, ``requests``
+  > 1, each on one shard and on four.  The vectorized engine's queue
+  order is decided by its tie-breaks alone here (issue rank, then visit
+  rank), which the other groups never exercise;
 * ``invalid/...`` — inputs ``simulate_fleet`` must reject, recorded as the
-  exception's type and message.
+  exception's type and message: malformed arrivals and request counts,
+  then every float cost column holding NaN, infinity or a negative.
 
 Every record lists each ``EventSimResult`` field, the two run-wide
 reservoirs and every per-client reservoir (``capacity``, ``count``,
@@ -56,6 +64,7 @@ BLOCK = 4096
 SEEDS = (1, 2, 3)
 CLIENTS, OPS_PER_CLIENT = 1000, 50
 RANDOM_FLEETS, MAX_CLIENTS = 120, 200
+TIE_FLEETS = 8
 
 #: a record: its name and a thunk returning the EventSimResult
 Record = Tuple[str, Callable[[], object]]
@@ -245,8 +254,74 @@ def random_records(count: int, max_clients: int) -> Iterator[Record]:
 
 
 # ---------------------------------------------------------------------------
+# corpus: fleets whose queue order is all tie-breaks
+# ---------------------------------------------------------------------------
+
+def _tie_fleet(index: int, max_clients: int):
+    """One seeded colliding fleet: ``(params, streams, arrivals)``."""
+    from repro.sim.compact import encode_stream
+    from repro.sim.costparams import CostParameters
+    from repro.sim.ledger import ClientOpTrace, OpTrace, OsdVisit
+
+    rng = random.Random(f"sim-transcript/ties/{index}")
+    osds = 1 if index % 3 == 0 else rng.randint(2, 4)
+    free_backend = index % 2 == 0             # zero hop and push
+    clients = rng.randint(2, max_clients)
+
+    def whole(*choices: int) -> float:
+        return float(rng.choice(choices))
+
+    def op() -> "ClientOpTrace":
+        requests = rng.choice((1, 2, 3, 16))
+        shape = rng.random()
+        if shape < 0.1:                       # zero-cost op
+            return ClientOpTrace(requests=requests, traces=[])
+        fan_out = 0 if shape < 0.2 else 1 if shape < 0.5 else 3
+        visits = [OsdVisit(
+            osd_id=rng.randrange(osds), service_us=whole(1, 2, 3, 5),
+            latency_us=whole(2, 4, 8),
+            hop_us=0.0 if free_backend or not rank else whole(0, 1, 2),
+            push_us=0.0 if free_backend or not rank else whole(0, 1, 2))
+            for rank in range(fan_out)]
+        return ClientOpTrace(requests=requests, traces=[OpTrace(
+            kind="write" if fan_out > 1 else "read",
+            client_cpu_us=whole(1, 2, 3), client_net_us=whole(1, 2),
+            network_us=whole(2, 4, 8), visits=visits, bytes_moved=BLOCK)])
+
+    ops = [op() for _ in range(rng.randint(3, 40))]
+    now, schedule = whole(0, 5), []
+    for _ in ops:
+        now += whole(0, 0, 1, 2, 5, 20)
+        schedule.append(now)
+    encoded = encode_stream(ops)
+    # the same object, an equal copy and the un-encoded list, in turn
+    streams = [(encoded, encode_stream(ops), ops)[client % 3]
+               for client in range(clients)]
+    params = CostParameters(sim_mode="events", osd_count=max(osds, 3),
+                            replica_count=3)
+    return params, streams, [list(schedule) for _ in range(clients)]
+
+
+def tie_records(count: int, max_clients: int) -> Iterator[Record]:
+    from repro.sim.fleet import simulate_fleet
+
+    for index in range(count):
+        for shards in (1, 4):
+            def run(i=index, n=shards):
+                params, streams, arrivals = _tie_fleet(i, max_clients)
+                return simulate_fleet(params.with_overrides(sim_shards=n),
+                                      streams, arrivals)
+            yield f"ties/{index:02d}/shards{shards}", run
+
+
+# ---------------------------------------------------------------------------
 # corpus: inputs that must be rejected
 # ---------------------------------------------------------------------------
+
+#: the float cost fields of a traced op, client side then per OSD visit
+COST_FIELDS = ("client_cpu_us", "client_net_us", "network_us", "service_us",
+               "latency_us", "hop_us", "push_us")
+
 
 def invalid_records() -> Iterator[Record]:
     import numpy as np
@@ -257,25 +332,39 @@ def invalid_records() -> Iterator[Record]:
 
     params = CostParameters(sim_mode="events", osd_count=4, replica_count=3)
 
-    def op(requests: int = 1) -> "ClientOpTrace":
+    def op(requests: int = 1, **costs: float) -> "ClientOpTrace":
+        visit = dict(service_us=9.0, latency_us=48.0, hop_us=30.0,
+                     push_us=2.0)
+        trace = dict(client_cpu_us=5.0, client_net_us=2.0, network_us=90.0)
+        for field, value in costs.items():
+            (visit if field in visit else trace)[field] = value
         return ClientOpTrace(requests=requests, traces=[OpTrace(
-            kind="read", client_cpu_us=5.0, client_net_us=2.0,
-            network_us=90.0,
-            visits=[OsdVisit(osd_id=1, service_us=9.0, latency_us=48.0)],
-            bytes_moved=BLOCK)])
+            kind="write", visits=[
+                OsdVisit(osd_id=1, **dict(visit, hop_us=0.0, push_us=0.0)),
+                OsdVisit(osd_id=2, **visit)],
+            bytes_moved=BLOCK, **trace)])
 
     three = [op(), op(), op()]
+    times = [1.0, 2.0, 3.0]
     cases = [
         ("arrival-count-mismatch", [three], [[1.0, 2.0]]),
         ("arrivals-unsorted", [three], [[3.0, 2.0, 1.0]]),
-        ("arrival-arrays-vs-clients", [three], [[1.0, 2.0, 3.0], [4.0]]),
+        ("arrival-arrays-vs-clients", [three], [times, [4.0]]),
         ("arrival-nan", [three], [[1.0, float("nan"), 3.0]]),
         ("arrival-inf", [three], [[1.0, 2.0, float("inf")]]),
         ("arrival-2d", [three], [np.array([[1.0], [2.0], [3.0]])]),
         ("arrival-strings", [three], [["a", "b", "c"]]),
-        ("requests-zero", [[op(), op(0), op()]], [[1.0, 2.0, 3.0]]),
-        ("requests-negative", [[op(), op(-1), op()]], [[1.0, 2.0, 3.0]]),
+        ("requests-zero", [[op(), op(0), op()]], [times]),
+        ("requests-negative", [[op(), op(-1), op()]], [times]),
     ]
+    # a bad cost in one op of one of three clients (so every queue of the
+    # vectorized engine still has honest work around it)
+    for field in COST_FIELDS:
+        for label, value in (("nan", float("nan")), ("inf", float("inf")),
+                             ("negative", -4.0)):
+            cases.append((f"cost-{field}-{label}",
+                          [three, [op(), op(**{field: value}), op()], three],
+                          [times, times, times]))
     for name, streams, arrivals in cases:
         yield (f"invalid/{name}",
                lambda s=streams, a=arrivals: simulate_fleet(params, s, a))
@@ -288,9 +377,11 @@ def invalid_records() -> Iterator[Record]:
 def corpus(seeds: Sequence[int] = SEEDS, clients: int = CLIENTS,
            ops_per_client: int = OPS_PER_CLIENT,
            random_fleets: int = RANDOM_FLEETS,
-           max_clients: int = MAX_CLIENTS) -> Iterator[Record]:
+           max_clients: int = MAX_CLIENTS,
+           tie_fleets: int = TIE_FLEETS) -> Iterator[Record]:
     yield from bench_records(seeds, clients, ops_per_client)
     yield from random_records(random_fleets, max_clients)
+    yield from tie_records(tie_fleets, max_clients)
     yield from invalid_records()
 
 
