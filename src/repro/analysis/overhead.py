@@ -16,7 +16,6 @@ from ..api import create_encrypted_image, make_cluster
 from ..crypto.suite import SIMULATION_SUITE
 from ..errors import ConfigurationError
 from ..sim.costparams import CostParameters, default_cost_parameters
-from ..workload.cluster_runner import ClusterWorkloadRunner
 from ..workload.runner import WorkloadResult, WorkloadRunner, prefill_image
 from ..workload.spec import PAPER_IO_SIZES, WorkloadSpec
 from ..util import KIB, MIB, format_size
@@ -55,7 +54,7 @@ class SweepConfig:
     #: ``None`` inherits whatever ``params`` carries (default analytic)
     sim_mode: Optional[str] = None
     #: independent client streams per sweep point (one image each, shared
-    #: cluster); >1 runs through the ClusterWorkloadRunner
+    #: cluster)
     num_clients: int = 1
     #: issue operations open-loop at ``arrival_rate`` ops/s per client
     #: instead of the closed queue-depth loop (needs sim_mode "events")
@@ -180,10 +179,8 @@ class LayoutSweep:
                             replica_count=config.replica_count,
                             params=params)
 
-    def _make_image(self, layout: str, label: str, cluster=None):
+    def _make_image(self, layout: str, label: str, cluster):
         config = self.config
-        if cluster is None:
-            cluster = self._make_cluster()
         pool = "rbd"
         if config.pool_ec is not None:
             k, m = config.pool_ec
@@ -195,7 +192,7 @@ class LayoutSweep:
             # Idempotent for a shared cluster: create_pool returns the
             # existing pool when the shape matches.
             cluster.create_pool(pool, ec=(k, m))
-        image, info = create_encrypted_image(
+        image, _info = create_encrypted_image(
             cluster, f"bench-{label}", config.image_size,
             passphrase=b"benchmark-passphrase",
             encryption_format=layout, codec=config.codec,
@@ -203,7 +200,7 @@ class LayoutSweep:
             object_size=config.object_size,
             random_seed=f"sweep-{label}".encode("utf-8"),
             journaled=config.journaled, pool=pool)
-        return cluster, image, info
+        return image
 
     def _spec(self, rw: str, io_size: int, prefill: bool) -> WorkloadSpec:
         config = self.config
@@ -231,30 +228,22 @@ class LayoutSweep:
         if self._tracer is not None:
             self._tracer.begin_process(f"{layout}/{format_size(io_size)}")
         spec = self._spec(rw, io_size, prefill=False)
+        cluster = self._make_cluster()
         if config.clone_depth > 0:
-            cluster = self._make_cluster()
             images = self._clone_images(layout, label, cluster)
-            if config.num_clients > 1:
-                return ClusterWorkloadRunner(cluster, self._tracer).run(
-                    images, spec, layout_name=layout)
-            return WorkloadRunner(cluster, self._tracer).run(
-                images[0], spec, layout_name=layout)
-        if config.num_clients > 1:
-            cluster = self._make_cluster()
+        else:
             images = []
             for client in range(config.num_clients):
-                _cluster, image, _info = self._make_image(
-                    layout, f"{label}-c{client}", cluster=cluster)
+                # The label is the object-name prefix CRUSH hashes and the
+                # seed of the IV DRBG: a lone client keeps the bare one.
+                name = (label if config.num_clients == 1
+                        else f"{label}-c{client}")
+                image = self._make_image(layout, name, cluster)
                 if kind == "read":
                     prefill_image(image)
                 images.append(image)
-            return ClusterWorkloadRunner(cluster, self._tracer).run(
-                images, spec, layout_name=layout)
-        cluster, image, _info = self._make_image(layout, label)
-        if kind == "read":
-            prefill_image(image)
-        return WorkloadRunner(cluster, self._tracer).run(image, spec,
-                                                         layout_name=layout)
+        return WorkloadRunner(cluster, self._tracer).run_streams(
+            images, spec, layout_name=layout)
 
     def _clone_images(self, layout: str, label: str, cluster):
         """Build the clone fan-out for one sweep point: a prefilled golden
@@ -267,8 +256,7 @@ class LayoutSweep:
 
         config = self.config
         golden_name = f"{config.clone_of}-{label}"
-        cluster, golden, _info = self._make_image(layout, golden_name,
-                                                  cluster=cluster)
+        golden = self._make_image(layout, golden_name, cluster)
         prefill_image(golden)
         golden.create_snapshot("base")
         golden.protect_snapshot("base")

@@ -49,9 +49,9 @@ class WorkloadSpec:
     #: cap on blocks one object accumulates per engine window (None = no cap)
     batch_size: Optional[int] = None
     #: how many independent client streams issue this job concurrently
-    #: against one shared cluster (each stream keeps ``queue_depth`` ops in
-    #: flight; >1 requires the ClusterWorkloadRunner and the event-driven
-    #: sim mode to mean anything — the analytic model cannot see contention)
+    #: against one shared cluster, one image each (each stream keeps
+    #: ``queue_depth`` ops in flight; >1 needs the event-driven sim mode to
+    #: mean anything — the analytic model cannot see contention)
     num_clients: int = 1
     #: client-side cache mode: None (off), "writethrough", "writeback"
     #: (block cache) or "pwl" (crash-safe persistent write log); each

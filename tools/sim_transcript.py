@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Full-precision transcript of ``simulate_fleet`` over a seeded corpus.
+"""Full-precision transcript of ``simulate_fleet`` and the workload runner
+over a seeded corpus.
 
-The fleet engines promise *bit-identical* modelled numbers across
-refactors, and every PR that touched them rebuilt the same proof by hand:
+The fleet engines and the workload runner promise *bit-identical* modelled
+numbers across refactors, and every PR that touched them rebuilt the same
+proof by hand:
 drive the parent tree and the changed tree with the same inputs, print
 every result field with ``repr`` and compare.  This tool is that proof,
 kept::
@@ -37,9 +39,19 @@ both trees.  The corpus, all of it derived from fixed seeds:
   rank), which the other groups never exercise;
 * ``invalid/...`` — inputs ``simulate_fleet`` must reject, recorded as the
   exception's type and message: malformed arrivals and request counts,
-  then every float cost column holding NaN, infinity or a negative.
+  then every float cost column holding NaN, infinity or a negative;
+* ``runner/...`` — the workload runner's three entry points on fresh
+  clusters: ``WorkloadRunner.run`` (``run``) and
+  ``ClusterWorkloadRunner.run`` on one image and on three (``x1``,
+  ``x3``) over layouts x {randwrite, randrw} x {unbatched, batched} x
+  cache {off, writeback, pwl} x {analytic, analytic traced, events,
+  events traced, events open-loop}, each printing the estimate, the
+  sorted ledger counters, the latencies (per client too for ``x1``/``x3``)
+  and the tracer's spans; then ``capture_template_stream``'s sealed traces
+  for three patterns per layout.  A ``run`` record and its ``x1`` twin
+  have equal bodies (``tests/workload/test_single_runner.py``).
 
-Every record lists each ``EventSimResult`` field, the two run-wide
+Every fleet record lists each ``EventSimResult`` field, the two run-wide
 reservoirs and every per-client reservoir (``capacity``, ``count``,
 ``sum_us``, ``min_us``, ``max_us`` and the retained sample), all in
 ``repr``.  Dicts print in insertion order.  Two runs on one tree are
@@ -54,6 +66,7 @@ import random
 import sys
 import warnings
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 from typing import Callable, Iterator, List, Sequence, TextIO, Tuple
 
@@ -65,8 +78,11 @@ SEEDS = (1, 2, 3)
 CLIENTS, OPS_PER_CLIENT = 1000, 50
 RANDOM_FLEETS, MAX_CLIENTS = 120, 200
 TIE_FLEETS = 8
+RUNNER_LAYOUTS = ("luks-baseline", "object-end")
+RUNNER_PATTERNS = ("randwrite", "randrw")
 
-#: a record: its name and a thunk returning the EventSimResult
+#: a record: its name and a thunk returning the EventSimResult (or, for
+#: the runner group, the record's text)
 Record = Tuple[str, Callable[[], object]]
 
 
@@ -81,6 +97,9 @@ def _reservoir_line(stats) -> str:
 
 
 def _write_result(out: TextIO, result) -> None:
+    if isinstance(result, str):
+        out.write(result)
+        return
     for name in ("engine", "elapsed_us", "requests", "events_processed",
                  "bounding_resource", "resource_us", "queue_wait_us"):
         out.write(f"{name}={getattr(result, name)!r}\n")
@@ -371,6 +390,90 @@ def invalid_records() -> Iterator[Record]:
 
 
 # ---------------------------------------------------------------------------
+# corpus: the workload runner's entry points
+# ---------------------------------------------------------------------------
+
+#: (label, sim_mode, traced, open_loop)
+RUNNER_MODES = (("analytic", "analytic", False, False),
+                ("analytic-traced", "analytic", True, False),
+                ("events", "events", False, False),
+                ("events-traced", "events", True, False),
+                ("events-open", "events", False, True))
+
+
+def _runner_images(sim_mode: str, layout: str, count: int):
+    from repro import api
+    from repro.sim.costparams import default_cost_parameters
+
+    params = default_cost_parameters().with_overrides(sim_mode=sim_mode)
+    cluster = api.make_cluster(params=params)
+    images = [api.create_encrypted_image(
+        cluster, f"runner-{index}", 4 * MIB, b"runner",
+        encryption_format=layout, cipher_suite="blake2-xts-sim",
+        object_size=MIB, random_seed=f"runner-{index}".encode())[0]
+        for index in range(count)]
+    return cluster, images
+
+
+def _run_entry(entry: str, layout: str, sim_mode: str, traced: bool,
+               spec) -> str:
+    from repro.obs.spans import SpanTracer
+    from repro.workload.cluster_runner import ClusterWorkloadRunner
+    from repro.workload.runner import WorkloadRunner
+
+    cluster, images = _runner_images(sim_mode, layout, spec.num_clients)
+    tracer = SpanTracer() if traced else None
+    if entry == "run":
+        result = WorkloadRunner(cluster, tracer).run(images[0], spec)
+    else:
+        result = ClusterWorkloadRunner(cluster, tracer).run(images, spec)
+    lines = [f"layout={result.layout!r}", f"estimate={result.estimate!r}",
+             f"counters={sorted(result.counters.items())!r}",
+             f"latencies_us={result.latencies_us!r}"]
+    if entry != "run":
+        lines.append(f"per_client_latencies_us="
+                     f"{result.per_client_latencies_us!r}")
+    lines.append(f"spans={tracer.spans if traced else None!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _capture(layout: str, pattern: str) -> str:
+    from repro.workload.runner import capture_template_stream, prefill_image
+    from repro.workload.spec import WorkloadSpec
+
+    cluster, (image,) = _runner_images("events", layout, 1)
+    if pattern != "randwrite":
+        prefill_image(image)
+    spec = WorkloadSpec(name=f"capture-{pattern}", rw=pattern, io_size=BLOCK,
+                        queue_depth=1, io_count=24, seed=11)
+    return f"traces={capture_template_stream(cluster, image, spec)!r}\n"
+
+
+def runner_records(layouts: Sequence[str],
+                   patterns: Sequence[str]) -> Iterator[Record]:
+    from repro.workload.spec import WorkloadSpec
+
+    for layout in layouts:
+        for pattern, batched, cache, mode, (entry, clients) in product(
+                patterns, (False, True), (None, "writeback", "pwl"),
+                RUNNER_MODES, (("run", 1), ("x1", 1), ("x3", 3))):
+            label, sim_mode, traced, open_loop = mode
+            spec = WorkloadSpec(
+                name="runner", rw=pattern, io_size=4 * BLOCK, queue_depth=4,
+                io_count=24, seed=5, batched=batched, cache_mode=cache,
+                num_clients=clients, open_loop=open_loop,
+                arrival_rate=2000.0 if open_loop else None)
+            yield (f"runner/{layout}/{pattern}/"
+                   f"{'batched' if batched else 'scalar'}/"
+                   f"{cache or 'nocache'}/{label}/{entry}",
+                   lambda e=entry, l=layout, m=sim_mode, t=traced, s=spec:
+                   _run_entry(e, l, m, t, s))
+        for pattern in ("randwrite", "randread", "randrw"):
+            yield (f"runner/{layout}/capture/{pattern}",
+                   lambda l=layout, p=pattern: _capture(l, p))
+
+
+# ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
 
@@ -378,11 +481,15 @@ def corpus(seeds: Sequence[int] = SEEDS, clients: int = CLIENTS,
            ops_per_client: int = OPS_PER_CLIENT,
            random_fleets: int = RANDOM_FLEETS,
            max_clients: int = MAX_CLIENTS,
-           tie_fleets: int = TIE_FLEETS) -> Iterator[Record]:
+           tie_fleets: int = TIE_FLEETS,
+           runner_layouts: Sequence[str] = RUNNER_LAYOUTS,
+           runner_patterns: Sequence[str] = RUNNER_PATTERNS
+           ) -> Iterator[Record]:
     yield from bench_records(seeds, clients, ops_per_client)
     yield from random_records(random_fleets, max_clients)
     yield from tie_records(tie_fleets, max_clients)
     yield from invalid_records()
+    yield from runner_records(runner_layouts, runner_patterns)
 
 
 def main(argv=None) -> int:
