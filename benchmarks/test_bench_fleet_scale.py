@@ -46,8 +46,7 @@ WALL_CEILING_S = 60.0
 def _capture_template():
     """One short real run through the encrypted data path."""
     params = default_cost_parameters().with_overrides(
-        sim_mode="events", event_engine="compact",
-        osd_count=OSD_COUNT, replica_count=3)
+        sim_mode="events", osd_count=OSD_COUNT, replica_count=3)
     cluster = make_cluster(osd_count=OSD_COUNT, replica_count=3,
                            params=params)
     image, _info = create_encrypted_image(

@@ -61,9 +61,6 @@ class SweepConfig:
     open_loop: bool = False
     #: per-client Poisson arrival rate in ops/s (required with open_loop)
     arrival_rate: Optional[float] = None
-    #: event-replay implementation ("compact" or "legacy"); ``None``
-    #: inherits whatever ``params`` carries (default compact)
-    event_engine: Optional[str] = None
     #: independent contention domains of the event replay (``None`` =
     #: inherit; see :attr:`repro.sim.costparams.CostParameters.sim_shards`)
     sim_shards: Optional[int] = None
@@ -171,7 +168,6 @@ class LayoutSweep:
         # ConfigurationError here instead of silently running analytic.
         overrides = {key: value for key, value in (
             ("sim_mode", config.sim_mode),
-            ("event_engine", config.event_engine),
             ("sim_shards", config.sim_shards),
             ("sim_jobs", config.sim_jobs)) if value is not None}
         params = base.with_overrides(**overrides)

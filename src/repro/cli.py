@@ -62,7 +62,7 @@ from .analysis.report import (format_bandwidth_table, format_cache_table,
                               format_overhead_table, format_pwl_table, to_csv)
 from .analysis.sectors import SectorAccessModel, theoretical_overhead_table
 from .cache.config import CACHE_MODES, CACHE_POLICIES
-from .sim.costparams import EVENT_ENGINES, SIM_MODES
+from .sim.costparams import SIM_MODES
 from .util import MIB, format_size, parse_size
 from .workload.spec import PAPER_IO_SIZES
 
@@ -160,7 +160,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         num_clients=args.num_clients,
         open_loop=args.open_loop,
         arrival_rate=args.arrival_rate,
-        event_engine=args.event_engine,
         sim_shards=args.shards,
         sim_jobs=args.jobs,
         cache_mode=args.cache_mode,
@@ -229,8 +228,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.arrival_rate <= 0:
         raise SystemExit("--arrival-rate must be positive")
     params = default_cost_parameters().with_overrides(
-        sim_mode="events", event_engine=args.event_engine,
-        sim_shards=args.shards, sim_jobs=args.jobs,
+        sim_mode="events", sim_shards=args.shards, sim_jobs=args.jobs,
         osd_count=args.osds, replica_count=args.replicas)
 
     # Capture a short real trace: actual data path, crypto and placement.
@@ -464,10 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--arrival-rate", type=float, default=None,
                        metavar="OPS_PER_SEC",
                        help="per-client open-loop arrival rate (ops/s)")
-    sweep.add_argument("--event-engine", choices=EVENT_ENGINES, default=None,
-                       help="event-replay implementation: 'compact' "
-                       "(flattened numpy traces, vectorized open loop — the "
-                       "default) or 'legacy' (original per-op scheduler)")
     sweep.add_argument("--shards", type=int, default=None,
                        help="independent contention domains of the event "
                        "replay (clients and their OSD queues partitioned)")
@@ -540,8 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "tiled out to every client")
     fleet.add_argument("--shards", type=int, default=1)
     fleet.add_argument("--jobs", type=int, default=1)
-    fleet.add_argument("--event-engine", choices=EVENT_ENGINES,
-                       default="compact")
     fleet.add_argument("--seed", type=int, default=1234)
     fleet.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="write a Prometheus text exposition of the "

@@ -3,11 +3,10 @@
 A :class:`SpanTracer` collects :class:`Span` records — named intervals on
 named tracks, in simulated microseconds — from which the Chrome
 trace-event exporter (:mod:`repro.obs.export`) renders a
-Perfetto-loadable timeline.  Spans are emitted by the event engines
-(:mod:`repro.sim.scheduler` and :mod:`repro.sim.replay`) at the exact
-points where jobs occupy queues, so start/end times are the *same*
-sim-clock instants that produce the reported latencies; the two engines
-emit identical spans for identical streams (pinned by the golden tests).
+Perfetto-loadable timeline.  Spans are emitted by the event engine
+(:mod:`repro.sim.replay`) at the exact points where jobs occupy queues,
+so start/end times are the *same* sim-clock instants that produce the
+reported latencies (pinned by the golden tests).
 
 The track hierarchy mirrors the data path::
 
@@ -75,8 +74,7 @@ class SpanTracer:
                                process=self._prefix + process,
                                thread=thread, args=args or {}))
 
-    # -- engine emission helpers (shared by both event engines so their
-    # -- span streams cannot drift apart) --------------------------------------
+    # -- engine emission helpers (one call site each in repro.sim.replay) -----
 
     def client_dispatch(self, client: int, start_us: float,
                         dur_us: float) -> None:

@@ -235,7 +235,7 @@ class PoolBackend:
         if ledger.trace_ops:
             # The source reads + target write recorded one visit each; the
             # transfer rides the network term.  The trace flows through
-            # both event engines as ordinary traffic contending with clients.
+            # the event engine as ordinary traffic contending with clients.
             ledger.record_op_trace(OpTrace(
                 kind=kind, client_cpu_us=params.recovery_op_cost_us,
                 client_net_us=0.0,

@@ -23,33 +23,31 @@ Contracts every consumer may rely on:
 * **Ledger completeness** — every simulated component charges *all* of
   its work (counters and resource busy time) before its call returns;
   snapshots/diffs of the ledger therefore bracket a run exactly.
-* **Single-use schedulers** — a :class:`ClusterScheduler` replays exactly
-  one run; its queues accumulate state, so build a fresh one per replay
-  (:func:`simulate_client_ops` does).
+* **Fresh state per replay** — a replay's queues accumulate state, so
+  every entry point (:func:`simulate_client_ops`, :func:`simulate_fleet`)
+  builds its event machine anew on each call.
 * **Trace hygiene** — op traces are only recorded while
   ``ledger.trace_ops`` is on; unsealed traces must be either sealed by
   ``finish_op`` or dropped with ``discard_open_traces`` before the next
   run on the same cluster.
 """
 
-from .clock import SimClock
 from .compact import CompactStream, encode_stream, encode_streams, tile_stream
 from .costparams import CostParameters, EVENT_ENGINES, SIM_MODES
-from .events import EventLoop
 from .fleet import (fleet_streams_from_template, simulate_closed_loop,
                     simulate_fleet)
 from .ledger import ClientOpTrace, CostLedger, OpReceipt, OpTrace, OsdVisit
 from .perfmodel import PerformanceModel, PerformanceEstimate
 from .reservoir import LatencyReservoir, merge_reservoirs
-from .scheduler import (ClusterScheduler, EventSimResult, ServiceQueue,
-                        simulate_client_ops, simulate_open_loop)
+from .scheduler import (EventSimResult, ServiceQueue, simulate_client_ops,
+                        simulate_open_loop)
 
 __all__ = [
-    "SimClock", "CostParameters", "SIM_MODES", "EVENT_ENGINES", "CostLedger",
-    "OpReceipt", "OpTrace", "OsdVisit", "ClientOpTrace", "EventLoop",
-    "ServiceQueue", "ClusterScheduler", "EventSimResult",
-    "simulate_client_ops", "simulate_open_loop", "simulate_closed_loop",
-    "simulate_fleet", "CompactStream", "encode_stream", "encode_streams",
-    "tile_stream", "fleet_streams_from_template", "LatencyReservoir",
-    "merge_reservoirs", "PerformanceModel", "PerformanceEstimate",
+    "CostParameters", "SIM_MODES", "EVENT_ENGINES", "CostLedger",
+    "OpReceipt", "OpTrace", "OsdVisit", "ClientOpTrace", "ServiceQueue",
+    "EventSimResult", "simulate_client_ops", "simulate_open_loop",
+    "simulate_closed_loop", "simulate_fleet", "CompactStream",
+    "encode_stream", "encode_streams", "tile_stream",
+    "fleet_streams_from_template", "LatencyReservoir", "merge_reservoirs",
+    "PerformanceModel", "PerformanceEstimate",
 ]

@@ -33,13 +33,13 @@ from ..errors import ConfigurationError
 #: ``--sim-mode`` flag).
 SIM_MODES = ("analytic", "events")
 
-#: valid values of :attr:`CostParameters.event_engine` (and the CLI's
-#: ``--event-engine`` flag): "compact" replays flattened numpy trace
-#: columns through the index-based event machine (and, for open-loop
-#: arrivals, the fully vectorized queue scans); "legacy" is the original
-#: per-op object/closure scheduler, kept selectable so the equivalence
-#: suite can pin the two against each other.
-EVENT_ENGINES = ("compact", "legacy")
+#: the one value :attr:`CostParameters.event_engine` accepts.  No module
+#: reads the field: there is one event engine (the index machine of
+#: :mod:`repro.sim.replay` and its vectorized open-loop scans).  Field and
+#: tuple stay only because ``perf/workloads.py:559`` still passes
+#: ``event_engine="compact"``; ROADMAP item 1(c) drops that keyword and
+#: deletes both with their validation.
+EVENT_ENGINES = ("compact",)
 
 
 @dataclass
@@ -134,10 +134,7 @@ class CostParameters:
     #: the only one that can express multi-client contention).
     sim_mode: str = "analytic"
 
-    #: which event-replay implementation the "events" mode uses: "compact"
-    #: (flattened trace columns, index-based event machine, vectorized
-    #: open-loop scans — the fleet-scale path) or "legacy" (the original
-    #: per-op object scheduler, kept for equivalence comparisons).
+    #: accepted and ignored, see :data:`EVENT_ENGINES`.
     event_engine: str = "compact"
 
     #: how many independent contention domains the event replay is split
@@ -158,7 +155,7 @@ class CostParameters:
     #: its bound; below it the run is reported as paced by operation
     #: latency at the configured depth ("latency(qd)") or by the open-loop
     #: arrival process ("arrival(open-loop)").  One named knob shared by
-    #: every event engine (legacy, compact, vectorized) so the paths agree
+    #: both replay paths (index machine, vectorized scans) so they agree
     #: on what "saturated" means; the analytic estimate needs no threshold
     #: because its winning resource bound is saturated by construction.
     saturation_threshold: float = 0.8
@@ -183,8 +180,9 @@ class CostParameters:
                 f"sim_mode must be one of {SIM_MODES}, got {self.sim_mode!r}")
         if self.event_engine not in EVENT_ENGINES:
             raise ConfigurationError(
-                f"event_engine must be one of {EVENT_ENGINES}, "
-                f"got {self.event_engine!r}")
+                f"event_engine must be one of {EVENT_ENGINES}, got "
+                f"{self.event_engine!r} (the legacy scheduler was removed "
+                f"in PR 24)")
         if self.sim_shards <= 0:
             raise ConfigurationError("sim_shards must be positive")
         if self.sim_jobs <= 0:

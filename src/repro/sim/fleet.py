@@ -1,6 +1,6 @@
 """Fleet-scale event simulation: sharded, vectorized trace replay.
 
-This module is the compact engine's top half.  :mod:`~repro.sim.replay`
+This module is the event engine's top half.  :mod:`~repro.sim.replay`
 gives an exact index-based event machine; this module adds what fleet
 runs (1,000 clients, millions of requests) need on top of it:
 
@@ -53,7 +53,7 @@ from .ledger import ClientOpTrace
 from .replay import has_serial_chains, replay_closed_loop, replay_open_loop
 from .reservoir import (CLIENT_RESERVOIR_CAPACITY, LatencyReservoir,
                         merge_reservoirs)
-from .scheduler import EventSimResult
+from .scheduler import EventSimResult, bounding_resource
 from ..errors import ConfigurationError
 from ..obs.spans import SpanTracer
 
@@ -324,15 +324,13 @@ def _vectorized_open_loop(params: CostParameters,
     }
     waits = {f"osd.{osd_id}": wait for osd_id, wait in osd_wait.items()}
     waits["cluster.net"] = cluster_wait
-    bounding = max(resource_us, key=lambda k: resource_us[k])
-    if resource_us[bounding] < params.saturation_threshold * elapsed:
-        bounding = "arrival(open-loop)"
     return EventSimResult(
         elapsed_us=elapsed, requests=int(g_requests.sum()),
         op_stats=op_stats, request_stats=request_stats,
         client_request_stats=client_stats, resource_us=resource_us,
-        bounding_resource=bounding, events_processed=events,
-        queue_wait_us=waits, engine="vectorized")
+        bounding_resource=bounding_resource(params, resource_us, elapsed,
+                                            open_loop=True),
+        events_processed=events, queue_wait_us=waits, engine="vectorized")
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +402,6 @@ def _merge_results(params: CostParameters, parts: List[EventSimResult],
     for part in parts:
         for key, value in part.queue_wait_us.items():
             waits[key] = waits.get(key, 0.0) + value
-    bounding = max(resource_us, key=lambda k: resource_us[k])
-    if resource_us[bounding] < params.saturation_threshold * elapsed:
-        bounding = "arrival(open-loop)" if open_loop else "latency(qd)"
     return EventSimResult(
         elapsed_us=elapsed,
         requests=sum(p.requests for p in parts),
@@ -415,7 +410,8 @@ def _merge_results(params: CostParameters, parts: List[EventSimResult],
         client_request_stats=[stats for p in parts
                               for stats in p.client_request_stats],
         resource_us=resource_us,
-        bounding_resource=bounding,
+        bounding_resource=bounding_resource(params, resource_us, elapsed,
+                                            open_loop),
         events_processed=sum(p.events_processed for p in parts),
         queue_wait_us=waits,
         engine=parts[0].engine)
@@ -430,16 +426,17 @@ def simulate_closed_loop(params: CostParameters,
                          queue_depth: int,
                          tracer: Optional[SpanTracer] = None,
                          ) -> EventSimResult:
-    """Closed-loop compact replay, sharded per ``params.sim_shards``.
+    """Closed-loop replay on the index machine, sharded per
+    ``params.sim_shards``.
 
-    With one shard (the default) this is bit-identical to the legacy
-    scheduler — same event discipline over flattened columns.  A tracer
+    One shard (the default) is the single shared-cluster replay.  A tracer
     forces one in-process shard: spans carry every event's sim-clock
     times, which cannot cross worker-process boundaries, and splitting
     contention domains would change the very timeline being recorded.
     """
-    if queue_depth <= 0:
-        raise ConfigurationError("queue depth must be positive")
+    if not isinstance(queue_depth, (int, np.integer)) or queue_depth <= 0:
+        raise ConfigurationError(
+            f"queue depth must be a positive integer (got {queue_depth!r})")
     compact = encode_streams(streams)
     _check_replayable(compact)
     if tracer is not None:
@@ -458,12 +455,11 @@ def simulate_fleet(params: CostParameters,
     ``arrivals_us[i][j]``.
 
     Uses the vectorized scan engine whenever the workload allows it
-    (single-RADOS-op client ops, single-server OSD queues) and
-    ``params.event_engine`` is "compact"; otherwise the index-based
-    event machine replays each shard exactly.  A tracer forces one
-    in-process exact (index-machine) shard — the vectorized scans never
-    materialize per-event times, and spans cannot cross worker-process
-    boundaries.
+    (single-RADOS-op client ops, single-server OSD queues); otherwise
+    the index-based event machine replays each shard exactly.  A tracer
+    forces one in-process exact (index-machine) shard — the vectorized
+    scans never materialize per-event times, and spans cannot cross
+    worker-process boundaries.
     """
     compact = encode_streams(streams)
     if len(arrivals_us) != len(compact):
@@ -474,9 +470,7 @@ def simulate_fleet(params: CostParameters,
     if tracer is not None:
         return replay_open_loop(params, compact,
                                 _per_client(schedule, compact), tracer)
-    vectorized = (params.event_engine == "compact"
-                  and params.osd_shards == 1
-                  and not has_serial_chains(compact))
+    vectorized = params.osd_shards == 1 and not has_serial_chains(compact)
     mode = "open-vectorized" if vectorized else "open"
     payloads = [(params, compact[lo:hi], mode, 0,
                  schedule[base[lo]:base[hi]])

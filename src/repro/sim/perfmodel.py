@@ -22,7 +22,7 @@ bytes moved divided by that time.
 
 **Event-driven (accurate path).**  :meth:`PerformanceModel.estimate_events`
 replays the run's recorded operation traces through the discrete-event
-engine (:mod:`repro.sim.events` / :mod:`repro.sim.scheduler`): per-OSD FIFO
+engine (:mod:`repro.sim.scheduler` / :mod:`repro.sim.replay`): per-OSD FIFO
 queues with ``osd_shards`` servers, per-client dispatch/NIC queues, a
 shared backend network, and replication fan-out as chained events.  Queue
 *waiting* — which the analytic bounds cannot express — emerges from the

@@ -1,17 +1,17 @@
-"""Index-based event machine: the compact engine's exact replay core.
+"""Index-based event machine: the exact replay core.
 
-This is a re-implementation of :class:`~repro.sim.scheduler.ClusterScheduler`
-that walks :class:`~repro.sim.compact.CompactStream` columns instead of
+The machine walks :class:`~repro.sim.compact.CompactStream` columns, not
 ``ClientOpTrace`` objects.  The hot loop allocates no closures and no
 per-op objects: the heap holds plain ``(time, seq, code, a, b)`` tuples
 whose integer payloads index straight into the numpy columns, and
 in-flight replication state lives in one dict of small lists.
 
-The event *discipline* deliberately mirrors the legacy scheduler call for
-call — same scheduling order, same global sequence numbering, same
-synchronous queue submissions inside callbacks — so for any closed-loop
-replay the two engines produce bit-identical elapsed times, latencies and
-queue accounting (pinned by ``tests/sim/test_compact_equivalence.py``).
+The event *discipline* — scheduling order, one global sequence number
+breaking ties, synchronous queue submissions inside an event — is that
+of the per-op closure scheduler this machine replaced in PR 24, call for
+call: any closed-loop replay reproduces that scheduler's elapsed times,
+latencies, queue accounting and spans bit for bit, pinned by the digests
+the scheduler itself wrote (``tests/sim/golden/closed_loop.sha256``).
 On top of that it adds the open-loop mode: operations are *issued at
 exogenous arrival timestamps* instead of being re-armed by completions,
 which is what fleet-scale arrival processes (Poisson, trace-driven) need.
@@ -27,7 +27,7 @@ import numpy as np
 from .compact import CompactStream, distinct_by_identity
 from .costparams import CostParameters
 from .reservoir import CLIENT_RESERVOIR_CAPACITY, LatencyReservoir
-from .scheduler import EventSimResult, ServiceQueue
+from .scheduler import EventSimResult, ServiceQueue, bounding_resource
 from ..errors import ConfigurationError
 from ..obs.names import OP_KINDS
 from ..obs.spans import SpanTracer
@@ -103,8 +103,7 @@ class _Replay:
         end = int(stream.op_trace_start[op + 1])
         if next_trace == end:
             # Zero-cost op (sparse read): route through the heap so long
-            # runs of such ops do not recurse, exactly like the legacy
-            # scheduler's schedule_after(0, finish).
+            # runs of such ops do not recurse through _issue_next.
             self._schedule(now + 0.0, _CHAIN, client, fid)
         else:
             self._run_rados(fid, now)
@@ -231,8 +230,6 @@ class _Replay:
     # -- entry points ----------------------------------------------------------
 
     def run_closed(self, queue_depth: int) -> EventSimResult:
-        if queue_depth <= 0:
-            raise ConfigurationError("queue depth must be positive")
         self._closed_loop = True
         for client, stream in enumerate(self._streams):
             for _ in range(min(queue_depth, stream.num_ops)):
@@ -276,10 +273,6 @@ class _Replay:
         }
         waits = {q.name: q.wait_us
                  for q in list(self.osd_queues.values()) + [self.cluster_net]}
-        bounding = max(resource_us, key=lambda k: resource_us[k])
-        if resource_us[bounding] < (self._params.saturation_threshold
-                                    * elapsed_us):
-            bounding = "arrival(open-loop)" if open_loop else "latency(qd)"
         return EventSimResult(
             elapsed_us=elapsed_us,
             requests=self._requests_done,
@@ -287,7 +280,8 @@ class _Replay:
             request_stats=self._request_stats,
             client_request_stats=self._client_stats,
             resource_us=resource_us,
-            bounding_resource=bounding,
+            bounding_resource=bounding_resource(
+                self._params, resource_us, elapsed_us, open_loop),
             events_processed=self._events,
             queue_wait_us=waits,
             engine="compact",

@@ -2,16 +2,14 @@
 
 The same synthetic client-op stream — RMW chains (write + read RADOS ops
 per client op), 3-way replication, dispatch retries, a backfill push and
-a zero-trace no-op — runs through every model:
+a zero-trace no-op — runs through both models:
 
-* the **legacy** closure-based event engine,
-* the **compact** index-machine event engine,
+* the **events** index-machine replay,
 * the **analytic** serial-timeline reconstruction,
 
 and each must reproduce its committed golden span list *bit-exactly*
-(JSON float equality, not approx).  The two event engines must also be
-identical to each other, which is the contract that lets the compact
-engine stand in for the legacy one under ``--trace-out``.
+(JSON float equality, not approx).  ``spans_events.json`` is also what
+the legacy closure scheduler emitted until PR 24 deleted it.
 
 Regenerate after an intentional model change with::
 
@@ -80,8 +78,8 @@ def check_golden(name: str, spans) -> None:
         f"intentional rerun with REPRO_UPDATE_GOLDEN=1")
 
 
-def events_tracer(engine: str) -> SpanTracer:
-    params = CostParameters(event_engine=engine)
+def events_tracer() -> SpanTracer:
+    params = CostParameters()
     tracer = SpanTracer()
     streams = [pinned_stream(), pinned_stream()]
     result = simulate_client_ops(params, streams, QUEUE_DEPTH, tracer=tracer)
@@ -91,14 +89,8 @@ def events_tracer(engine: str) -> SpanTracer:
 
 
 class TestGoldenTimelines:
-    def test_event_engines_emit_identical_spans(self):
-        legacy = canonical(events_tracer("legacy"))
-        compact = canonical(events_tracer("compact"))
-        assert legacy == compact
-
-    @pytest.mark.parametrize("engine", ["legacy", "compact"])
-    def test_events_mode_matches_golden(self, engine):
-        check_golden("spans_events.json", canonical(events_tracer(engine)))
+    def test_events_mode_matches_golden(self):
+        check_golden("spans_events.json", canonical(events_tracer()))
 
     def test_analytic_mode_matches_golden(self):
         tracer = SpanTracer()
@@ -111,7 +103,7 @@ class TestChainReconstruction:
 
     @pytest.fixture(scope="class")
     def spans(self):
-        return canonical(events_tracer("compact"))
+        return canonical(events_tracer())
 
     def test_rmw_chain_is_serial_within_one_client_op(self, spans):
         ops = [s for s in spans if s["thread"] == "ops"

@@ -61,17 +61,13 @@ class TestCompactEncoding:
 
 
 class TestEngineRejection:
-    @pytest.mark.parametrize("engine", ["legacy", "compact"])
-    def test_event_engines_reject_unknown_kinds(self, engine):
-        params = CostParameters(event_engine=engine)
+    def test_event_engine_rejects_unknown_kinds(self):
         with pytest.raises(ConfigurationError, match="unknown OpTrace kind"):
-            simulate_client_ops(params, [[op_of("bogus-kind")]], 1)
+            simulate_client_ops(CostParameters(), [[op_of("bogus-kind")]], 1)
 
-    @pytest.mark.parametrize("engine", ["legacy", "compact"])
-    def test_event_engines_accept_every_declared_kind(self, engine):
-        params = CostParameters(event_engine=engine)
+    def test_event_engine_accepts_every_declared_kind(self):
         ops = [op_of(kind) for kind in OP_KINDS]
-        result = simulate_client_ops(params, [ops], 1)
+        result = simulate_client_ops(CostParameters(), [ops], 1)
         assert result.requests == len(OP_KINDS)
 
 

@@ -1,21 +1,27 @@
-"""Equivalence suite pinning the fleet-scale event engines to each other.
+"""Equivalence suite pinning the event engine's two replay paths.
 
-Three replay implementations must agree:
-
-* ``legacy`` — the original per-op object/closure scheduler
-  (:class:`repro.sim.scheduler.ClusterScheduler`);
 * ``compact`` — flattened numpy trace columns replayed through the
-  index-based event machine (:mod:`repro.sim.replay`), required to be
-  **bit-identical** to legacy on closed loops;
+  index-based event machine (:mod:`repro.sim.replay`), required to
+  reproduce **bit for bit** what the legacy per-op closure scheduler
+  computed on closed loops: that scheduler wrote
+  ``golden/closed_loop.sha256`` at PR 23, one digest per ``closed/``
+  record of ``tools/sim_transcript.py``, and PR 24 deleted it;
 * ``vectorized`` — the open-loop numpy queue scans
   (:mod:`repro.sim.fleet`), required to match the index machine to
   floating-point noise on tie-free workloads.
 
 These tests are the contract that lets the benchmarks run the fast
-engines while the committed baselines stay comparable to the seed.
+paths while the committed baselines stay comparable to the seed.
+Regenerate the digests after an intentional model change with::
+
+    REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/sim/test_compact_equivalence.py
 """
 
 from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,78 +29,24 @@ from repro.errors import ConfigurationError
 from repro.sim.compact import encode_stream
 from repro.sim.costparams import CostParameters
 from repro.sim.fleet import fleet_streams_from_template, simulate_fleet
-from repro.sim.ledger import ClientOpTrace, OpTrace, OsdVisit
 from repro.sim.replay import replay_open_loop
 from repro.sim.scheduler import (ServiceQueue, simulate_client_ops,
                                  simulate_open_loop)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+
+from sim_transcript import (CLOSED_FLEETS, closed_records, record_digests,
+                            mixed_streams as _mixed_streams,
+                            read_op as _read, rmw_op as _rmw,
+                            write_op as _write, zero_visit_op as _zero_visit)
+
+GOLDEN = Path(__file__).parent / "golden" / "closed_loop.sha256"
 
 
 def _params(**overrides) -> CostParameters:
     base = dict(sim_mode="events", osd_count=4, replica_count=3)
     base.update(overrides)
     return CostParameters(**base)
-
-
-def _read(client, index, osd, requests=1):
-    """A read op with index-dependent costs (keeps event times tie-free)."""
-    jitter = 0.13 * index + 1.7 * client
-    visit = OsdVisit(osd_id=osd, service_us=9.0 + jitter,
-                     latency_us=48.0 + jitter)
-    return ClientOpTrace(client=client, requests=requests, traces=[OpTrace(
-        kind="read", client_cpu_us=5.0 + 0.07 * index, client_net_us=2.0,
-        network_us=90.0, visits=[visit], bytes_moved=4096)])
-
-
-def _write(client, index, primary, replicas):
-    jitter = 0.11 * index + 1.3 * client
-    visits = [OsdVisit(osd_id=primary, service_us=11.0 + jitter,
-                       latency_us=39.0 + jitter)]
-    for osd in replicas:
-        visits.append(OsdVisit(osd_id=osd, service_us=10.0 + jitter,
-                               latency_us=41.0 + jitter, hop_us=45.0,
-                               push_us=1.0 + 0.05 * index))
-    return ClientOpTrace(client=client, requests=1, traces=[OpTrace(
-        kind="write", client_cpu_us=6.0 + 0.05 * index, client_net_us=2.5,
-        network_us=90.0, visits=visits, bytes_moved=65536)])
-
-
-def _rmw(client, index, primary):
-    """A serial read-then-write chain (two RADOS ops in one client op)."""
-    read = OpTrace(kind="read", client_cpu_us=4.0, client_net_us=1.0,
-                   network_us=90.0,
-                   visits=[OsdVisit(osd_id=primary, service_us=8.0 + index,
-                                    latency_us=50.0)], bytes_moved=4096)
-    write = OpTrace(kind="write", client_cpu_us=5.0, client_net_us=2.0,
-                    network_us=90.0,
-                    visits=[OsdVisit(osd_id=primary, service_us=9.0 + index,
-                                     latency_us=40.0)], bytes_moved=4096)
-    return ClientOpTrace(client=client, requests=1, traces=[read, write])
-
-
-def _zero_visit(client):
-    """An op served without touching any OSD (e.g. a pure cache hit)."""
-    return ClientOpTrace(client=client, requests=1, traces=[OpTrace(
-        kind="read", client_cpu_us=3.0, client_net_us=1.0, network_us=90.0,
-        visits=[], bytes_moved=4096)])
-
-
-def _mixed_streams(num_clients=3, ops_per_client=12):
-    streams = []
-    for client in range(num_clients):
-        ops = []
-        for i in range(ops_per_client):
-            if i % 4 == 0:
-                ops.append(_write(client, i, primary=(client + i) % 4,
-                                  replicas=((client + i + 1) % 4,
-                                            (client + i + 2) % 4)))
-            elif i % 4 == 1:
-                ops.append(_rmw(client, i, primary=i % 4))
-            elif i % 4 == 2:
-                ops.append(_zero_visit(client))
-            else:
-                ops.append(_read(client, i, osd=i % 4, requests=2))
-        streams.append(ops)
-    return streams
 
 
 def _open_loop_streams(num_clients=4, ops_per_client=20):
@@ -138,24 +90,18 @@ def _assert_identical(a, b):
 
 
 class TestClosedLoopEquivalence:
-    def test_compact_matches_legacy_bit_for_bit(self):
-        streams = _mixed_streams()
-        for depth in (1, 2, 8):
-            legacy = simulate_client_ops(_params(event_engine="legacy"),
-                                         streams, queue_depth=depth)
-            compact = simulate_client_ops(_params(event_engine="compact"),
-                                          streams, queue_depth=depth)
-            assert legacy.engine == "legacy"
-            assert compact.engine == "compact"
-            _assert_identical(legacy, compact)
-
-    def test_compact_matches_legacy_with_osd_shards(self):
-        streams = _mixed_streams(num_clients=2, ops_per_client=8)
-        legacy = simulate_client_ops(
-            _params(event_engine="legacy", osd_shards=2), streams, 4)
-        compact = simulate_client_ops(
-            _params(event_engine="compact", osd_shards=2), streams, 4)
-        _assert_identical(legacy, compact)
+    def test_compact_reproduces_the_legacy_digests(self):
+        digests = dict(record_digests(closed_records(CLOSED_FLEETS)))
+        if os.environ.get("REPRO_UPDATE_GOLDEN"):
+            GOLDEN.write_text("".join(f"{name} {digest}\n" for name, digest
+                                      in digests.items()))
+        golden = dict(line.split() for line in GOLDEN.read_text().splitlines())
+        moved = sorted(name for name in digests.keys() | golden.keys()
+                       if digests.get(name) != golden.get(name))
+        assert not moved, (
+            f"closed-loop records drifted from {GOLDEN.name}: {moved}; "
+            f"tools/sim_transcript.py prints them for a diff; if the model "
+            f"change is intentional rerun with REPRO_UPDATE_GOLDEN=1")
 
     def test_sharded_closed_loop_deterministic_across_jobs(self):
         streams = _mixed_streams(num_clients=6, ops_per_client=6)

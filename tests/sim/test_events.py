@@ -1,14 +1,12 @@
-"""Tests for the discrete-event core: event loop, service queues, replay."""
+"""Tests for the discrete-event core: service queues, replay."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.costparams import CostParameters
-from repro.sim.events import EventLoop
 from repro.sim.ledger import ClientOpTrace, CostLedger, OpTrace, OsdVisit
 from repro.sim.perfmodel import PerformanceModel, latency_percentiles
-from repro.sim.scheduler import (ClusterScheduler, ServiceQueue,
-                                 simulate_client_ops)
+from repro.sim.scheduler import ServiceQueue, simulate_client_ops
 
 
 def read_op(osd_id, service_us=10.0, latency_us=50.0, client=0, requests=1,
@@ -29,54 +27,6 @@ def write_op(primary, replicas=(), **kwargs):
                          traces=[OpTrace(kind="write", client_cpu_us=5.0,
                                          client_net_us=2.0, network_us=90.0,
                                          visits=visits, bytes_moved=4096)])
-
-
-class TestEventLoop:
-    def test_fires_in_time_order(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule_at(5.0, lambda: fired.append("b"))
-        loop.schedule_at(1.0, lambda: fired.append("a"))
-        loop.schedule_at(9.0, lambda: fired.append("c"))
-        assert loop.run() == 9.0
-        assert fired == ["a", "b", "c"]
-
-    def test_ties_break_by_scheduling_order(self):
-        loop = EventLoop()
-        fired = []
-        for tag in ("first", "second", "third"):
-            loop.schedule_at(3.0, lambda tag=tag: fired.append(tag))
-        loop.run()
-        assert fired == ["first", "second", "third"]
-
-    def test_callbacks_can_chain(self):
-        loop = EventLoop()
-        fired = []
-
-        def first():
-            fired.append(loop.now)
-            loop.schedule_after(10.0, lambda: fired.append(loop.now))
-
-        loop.schedule_at(2.0, first)
-        assert loop.run() == 12.0
-        assert fired == [2.0, 12.0]
-
-    def test_rejects_past_and_negative(self):
-        loop = EventLoop()
-        loop.schedule_at(5.0, lambda: loop.schedule_at(1.0, lambda: None))
-        with pytest.raises(ConfigurationError):
-            loop.run()
-        with pytest.raises(ConfigurationError):
-            EventLoop().schedule_after(-1.0, lambda: None)
-
-    def test_counts_events(self):
-        loop = EventLoop()
-        for _ in range(4):
-            loop.schedule_at(1.0, lambda: None)
-        assert loop.pending == 4
-        loop.run()
-        assert loop.events_processed == 4
-        assert loop.pending == 0
 
 
 class TestServiceQueue:
@@ -169,13 +119,7 @@ class TestClusterScheduler:
         with pytest.raises(ConfigurationError):
             simulate_client_ops(params, [[]], 1)
         with pytest.raises(ConfigurationError):
-            ClusterScheduler(params).run([[read_op(0)]], 0)
-
-    def test_scheduler_is_single_use(self):
-        scheduler = ClusterScheduler(CostParameters())
-        scheduler.run([[read_op(0)]], 1)
-        with pytest.raises(ConfigurationError):
-            scheduler.run([[read_op(0)]], 1)
+            simulate_client_ops(params, [[read_op(0)]], queue_depth=0)
 
     def test_osd_shards_add_parallelism(self):
         narrow = simulate_client_ops(

@@ -1,30 +1,12 @@
-"""Tests for the simulation core: clock, cost parameters, ledger, perf model."""
+"""Tests for the simulation core: cost parameters, ledger, perf model."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.clock import SimClock
 from repro.sim.costparams import CostParameters, default_cost_parameters
 from repro.sim.ledger import (CostLedger, OpReceipt, RES_CLIENT_CPU,
                               RES_CLIENT_NET, RES_OSD_CPU, RES_OSD_DEVICE)
 from repro.sim.perfmodel import PerformanceModel
-
-
-class TestClock:
-    def test_starts_at_zero(self):
-        assert SimClock().now == 0
-
-    def test_tick_and_next(self):
-        clock = SimClock()
-        assert clock.tick(5) == 5
-        assert clock.next() == 6
-        assert clock.now == 6
-
-    def test_invalid_values(self):
-        with pytest.raises(ValueError):
-            SimClock(start=-1)
-        with pytest.raises(ValueError):
-            SimClock().tick(0)
 
 
 class TestCostParameters:

@@ -14,9 +14,11 @@ from sim_transcript import corpus, write_transcript
 
 #: 1 seed x {write, read} x {1, 4 shards}, the random fleets, the tie
 #: fleets x {1, 4 shards}, 9 malformed inputs + 7 cost columns x 3 values,
-#: one layout and pattern of the runner group: {scalar, batched} x 3 caches
-#: x 5 modes x {run, x1, x3} + 3 captures
-RECORDS = 4 + 14 + 3 * 2 + (9 + 7 * 3) + (2 * 3 * 5 * 3 + 3)
+#: (4 historical + 6 random closed loops) x {untraced, traced}, one layout
+#: and pattern of the runner group: {scalar, batched} x 3 caches x 5 modes
+#: x {run, x1, x3} + 3 captures
+RECORDS = (4 + 14 + 3 * 2 + (9 + 7 * 3) + (4 + 6) * 2
+           + (2 * 3 * 5 * 3 + 3))
 
 
 def _tiny_transcript() -> str:
@@ -24,6 +26,7 @@ def _tiny_transcript() -> str:
     count = write_transcript(out, corpus(seeds=[1], clients=12,
                                          ops_per_client=6, random_fleets=14,
                                          max_clients=10, tie_fleets=3,
+                                         closed_fleets=6,
                                          runner_layouts=["object-end"],
                                          runner_patterns=["randrw"]))
     assert count == RECORDS

@@ -40,6 +40,16 @@ both trees.  The corpus, all of it derived from fixed seeds:
 * ``invalid/...`` — inputs ``simulate_fleet`` must reject, recorded as the
   exception's type and message: malformed arrivals and request counts,
   then every float cost column holding NaN, infinity or a negative;
+* ``closed/...`` — the closed loop through ``simulate_client_ops``: the
+  four fleets the legacy ``ClusterScheduler`` used to be compared on
+  (``mixed_streams`` at depths 1, 2, 8; two clients x eight ops at depth
+  4 on two-server OSD queues) and seeded random fleets — 1-8 clients,
+  3-16 OSDs, read-modify-write chains, zero-cost and zero-visit ops,
+  ``requests`` > 1, empty clients, depths 1/2/3/8/32, ``osd_shards``
+  1/2/4 — each untraced and traced (the traced record appends the spans
+  sorted by ``span_sort_key``).  These records leave ``engine`` out:
+  their sha256 digests, written by the legacy scheduler before PR 24
+  deleted it, are ``tests/sim/golden/closed_loop.sha256``;
 * ``runner/...`` — the workload runner's three entry points on fresh
   clusters: ``WorkloadRunner.run`` (``run``) and
   ``ClusterWorkloadRunner.run`` on one image and on three (``x1``,
@@ -62,6 +72,7 @@ byte-identical (``tests/tools/test_sim_transcript.py``; CI
 from __future__ import annotations
 
 import argparse
+import hashlib
 import random
 import sys
 import warnings
@@ -78,12 +89,17 @@ SEEDS = (1, 2, 3)
 CLIENTS, OPS_PER_CLIENT = 1000, 50
 RANDOM_FLEETS, MAX_CLIENTS = 120, 200
 TIE_FLEETS = 8
+CLOSED_FLEETS = 64
 RUNNER_LAYOUTS = ("luks-baseline", "object-end")
 RUNNER_PATTERNS = ("randwrite", "randrw")
 
 #: a record: its name and a thunk returning the EventSimResult (or, for
-#: the runner group, the record's text)
+#: the runner and closed-loop groups, the record's text)
 Record = Tuple[str, Callable[[], object]]
+
+#: the scalar fields a fleet record prints, ahead of the reservoirs
+RESULT_FIELDS = ("engine", "elapsed_us", "requests", "events_processed",
+                 "bounding_resource", "resource_us", "queue_wait_us")
 
 
 # ---------------------------------------------------------------------------
@@ -96,35 +112,41 @@ def _reservoir_line(stats) -> str:
             f"max_us={stats.max_us!r} sample={stats.sample!r}")
 
 
-def _write_result(out: TextIO, result) -> None:
-    if isinstance(result, str):
-        out.write(result)
-        return
-    for name in ("engine", "elapsed_us", "requests", "events_processed",
-                 "bounding_resource", "resource_us", "queue_wait_us"):
-        out.write(f"{name}={getattr(result, name)!r}\n")
-    out.write(f"op_stats: {_reservoir_line(result.op_stats)}\n")
-    out.write(f"request_stats: {_reservoir_line(result.request_stats)}\n")
-    for client, stats in enumerate(result.client_request_stats):
-        out.write(f"client[{client}]: {_reservoir_line(stats)}\n")
+def _result_text(result, fields: Sequence[str] = RESULT_FIELDS) -> str:
+    lines = [f"{name}={getattr(result, name)!r}" for name in fields]
+    lines.append(f"op_stats: {_reservoir_line(result.op_stats)}")
+    lines.append(f"request_stats: {_reservoir_line(result.request_stats)}")
+    lines.extend(f"client[{client}]: {_reservoir_line(stats)}"
+                 for client, stats in enumerate(result.client_request_stats))
+    return "\n".join(lines) + "\n"
+
+
+def record_text(thunk: Callable[[], object]) -> str:
+    """Run one record; its outcome (or the exception it raised) as text."""
+    try:
+        with warnings.catch_warnings():
+            # invalid inputs make numpy warn on trees that accept them
+            warnings.simplefilter("ignore")
+            result = thunk()
+    except Exception as exc:    # the outcome *is* the record
+        return f"error={type(exc).__name__}: {exc}\n"
+    return result if isinstance(result, str) else _result_text(result)
 
 
 def write_transcript(out: TextIO, records: Iterator[Record]) -> int:
     """Run every record and write its outcome; returns the record count."""
     count = 0
     for name, thunk in records:
-        out.write(f"== {name} ==\n")
-        try:
-            with warnings.catch_warnings():
-                # invalid inputs make numpy warn on trees that accept them
-                warnings.simplefilter("ignore")
-                result = thunk()
-        except Exception as exc:    # the outcome *is* the record
-            out.write(f"error={type(exc).__name__}: {exc}\n")
-        else:
-            _write_result(out, result)
+        out.write(f"== {name} ==\n{record_text(thunk)}")
         count += 1
     return count
+
+
+def record_digests(records: Iterator[Record]) -> Iterator[Tuple[str, str]]:
+    """``(name, sha256 of the record's text)``: one golden line per record
+    (``tests/sim/golden/closed_loop.sha256``)."""
+    for name, thunk in records:
+        yield name, hashlib.sha256(record_text(thunk).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +412,132 @@ def invalid_records() -> Iterator[Record]:
 
 
 # ---------------------------------------------------------------------------
+# corpus: the closed loop
+# ---------------------------------------------------------------------------
+
+def read_op(client, index, osd, requests=1):
+    """A read op with index-dependent costs (keeps event times tie-free)."""
+    from repro.sim.ledger import ClientOpTrace, OpTrace, OsdVisit
+
+    jitter = 0.13 * index + 1.7 * client
+    visit = OsdVisit(osd_id=osd, service_us=9.0 + jitter,
+                     latency_us=48.0 + jitter)
+    return ClientOpTrace(client=client, requests=requests, traces=[OpTrace(
+        kind="read", client_cpu_us=5.0 + 0.07 * index, client_net_us=2.0,
+        network_us=90.0, visits=[visit], bytes_moved=4096)])
+
+
+def write_op(client, index, primary, replicas):
+    from repro.sim.ledger import ClientOpTrace, OpTrace, OsdVisit
+
+    jitter = 0.11 * index + 1.3 * client
+    visits = [OsdVisit(osd_id=primary, service_us=11.0 + jitter,
+                       latency_us=39.0 + jitter)]
+    for osd in replicas:
+        visits.append(OsdVisit(osd_id=osd, service_us=10.0 + jitter,
+                               latency_us=41.0 + jitter, hop_us=45.0,
+                               push_us=1.0 + 0.05 * index))
+    return ClientOpTrace(client=client, requests=1, traces=[OpTrace(
+        kind="write", client_cpu_us=6.0 + 0.05 * index, client_net_us=2.5,
+        network_us=90.0, visits=visits, bytes_moved=65536)])
+
+
+def rmw_op(client, index, primary):
+    """A serial read-then-write chain (two RADOS ops in one client op)."""
+    from repro.sim.ledger import ClientOpTrace, OpTrace, OsdVisit
+
+    read = OpTrace(kind="read", client_cpu_us=4.0, client_net_us=1.0,
+                   network_us=90.0,
+                   visits=[OsdVisit(osd_id=primary, service_us=8.0 + index,
+                                    latency_us=50.0)], bytes_moved=4096)
+    write = OpTrace(kind="write", client_cpu_us=5.0, client_net_us=2.0,
+                    network_us=90.0,
+                    visits=[OsdVisit(osd_id=primary, service_us=9.0 + index,
+                                     latency_us=40.0)], bytes_moved=4096)
+    return ClientOpTrace(client=client, requests=1, traces=[read, write])
+
+
+def zero_visit_op(client):
+    """An op served without touching any OSD (e.g. a pure cache hit)."""
+    from repro.sim.ledger import ClientOpTrace, OpTrace
+
+    return ClientOpTrace(client=client, requests=1, traces=[OpTrace(
+        kind="read", client_cpu_us=3.0, client_net_us=1.0, network_us=90.0,
+        visits=[], bytes_moved=4096)])
+
+
+def mixed_streams(num_clients=3, ops_per_client=12):
+    streams = []
+    for client in range(num_clients):
+        ops = []
+        for i in range(ops_per_client):
+            if i % 4 == 0:
+                ops.append(write_op(client, i, primary=(client + i) % 4,
+                                    replicas=((client + i + 1) % 4,
+                                              (client + i + 2) % 4)))
+            elif i % 4 == 1:
+                ops.append(rmw_op(client, i, primary=i % 4))
+            elif i % 4 == 2:
+                ops.append(zero_visit_op(client))
+            else:
+                ops.append(read_op(client, i, osd=i % 4, requests=2))
+        streams.append(ops)
+    return streams
+
+
+def _closed_fleet(index: int):
+    """One seeded closed-loop fleet: ``(params, streams, queue_depth)``."""
+    from repro.sim.costparams import CostParameters
+
+    rng = random.Random(f"sim-transcript/closed/{index}")
+    osds = rng.randint(3, 16)
+    replicas = min(3, osds)
+    chains = index % 3 != 2
+    params = CostParameters(sim_mode="events", osd_count=osds,
+                            replica_count=replicas,
+                            osd_shards=(1, 1, 2, 4)[index % 4])
+    streams = [[] if rng.random() < 0.1 else
+               [_random_op(rng, osds, replicas, chains)
+                for _ in range(rng.randint(1, 40))]
+               for _ in range(rng.randint(1, 8))]
+    return params, streams, (1, 2, 3, 8, 32)[index % 5]
+
+
+def _run_closed(params, streams, queue_depth: int, traced: bool) -> str:
+    from repro.obs.spans import SpanTracer, span_sort_key
+    from repro.sim.scheduler import simulate_client_ops
+
+    tracer = SpanTracer() if traced else None
+    result = simulate_client_ops(params, streams, queue_depth, tracer=tracer)
+    # every field but the engine's name: the legacy scheduler wrote these
+    # records' digests at PR 23 and the index machine has to reproduce them
+    text = _result_text(result, RESULT_FIELDS[1:])
+    if traced:
+        text += f"spans={sorted(tracer.spans, key=span_sort_key)!r}\n"
+    return text
+
+
+def closed_records(count: int) -> Iterator[Record]:
+    from repro.sim.costparams import CostParameters
+
+    def historical(osd_shards: int = 1) -> "CostParameters":
+        return CostParameters(sim_mode="events", osd_count=4,
+                              replica_count=3, osd_shards=osd_shards)
+
+    cases = [(f"mixed-3x12/qd{depth}",
+              lambda d=depth: (historical(), mixed_streams(), d))
+             for depth in (1, 2, 8)]
+    cases.append(("mixed-2x8/qd4-osdshards2",
+                  lambda: (historical(2), mixed_streams(2, 8), 4)))
+    cases.extend((f"random/{index:03d}", lambda i=index: _closed_fleet(i))
+                 for index in range(count))
+    for name, build in cases:
+        for traced in (False, True):
+            yield (f"closed/{name}/{'traced' if traced else 'untraced'}",
+                   lambda b=build, t=traced: _run_closed(*b(), t))
+
+
+# ---------------------------------------------------------------------------
 # corpus: the workload runner's entry points
 # ---------------------------------------------------------------------------
 
@@ -482,6 +630,7 @@ def corpus(seeds: Sequence[int] = SEEDS, clients: int = CLIENTS,
            random_fleets: int = RANDOM_FLEETS,
            max_clients: int = MAX_CLIENTS,
            tie_fleets: int = TIE_FLEETS,
+           closed_fleets: int = CLOSED_FLEETS,
            runner_layouts: Sequence[str] = RUNNER_LAYOUTS,
            runner_patterns: Sequence[str] = RUNNER_PATTERNS
            ) -> Iterator[Record]:
@@ -489,6 +638,7 @@ def corpus(seeds: Sequence[int] = SEEDS, clients: int = CLIENTS,
     yield from random_records(random_fleets, max_clients)
     yield from tie_records(tie_fleets, max_clients)
     yield from invalid_records()
+    yield from closed_records(closed_fleets)
     yield from runner_records(runner_layouts, runner_patterns)
 
 
