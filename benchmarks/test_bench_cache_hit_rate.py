@@ -22,6 +22,7 @@ committed ``BENCH_cache.json`` baseline is gated at ±10% in CI.
 from __future__ import annotations
 
 from repro import api
+from repro.cache import CacheConfig
 from repro.util import KIB, MIB
 from repro.workload.runner import WorkloadRunner, prefill_image
 from repro.workload.spec import WorkloadSpec
@@ -62,7 +63,7 @@ def test_cache_rewrite_heavy_txn_reduction(benchmark):
         for layout in LAYOUTS:
             uncached = _run(layout, f"un-{layout}", _rewrite_spec())
             cached = _run(layout, f"wb-{layout}", _rewrite_spec(
-                cache_mode="writeback", cache_size=8 * MIB))
+                cache=CacheConfig(mode="writeback", size=8 * MIB)))
             points[layout] = (uncached, cached)
         return points
 
@@ -101,7 +102,7 @@ def test_cache_hit_rate_vs_size(benchmark):
     def sweep():
         for size in sizes:
             points[size] = _run("object-end", f"sz-{size}", _rewrite_spec(
-                cache_mode="writeback", cache_size=size))
+                cache=CacheConfig(mode="writeback", size=size)))
         return points
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -127,8 +128,9 @@ def test_cache_readahead_sequential_scan(benchmark):
     def spec(readahead):
         return WorkloadSpec(name="seq-scan", rw="read", io_size=4 * KIB,
                             queue_depth=QUEUE_DEPTH, total_bytes=2 * MIB,
-                            seed=77, cache_mode="writethrough",
-                            cache_size=8 * MIB, readahead=readahead)
+                            seed=77, cache=CacheConfig(
+                                mode="writethrough", size=8 * MIB,
+                                readahead_blocks=readahead))
 
     points = {}
 

@@ -28,13 +28,13 @@ QUEUE_DEPTH = 8
 
 
 def _config(sim_mode, num_clients):
-    params = default_cost_parameters()
-    params.osd_shards = 2
+    params = default_cost_parameters().with_overrides(osd_shards=2,
+                                                      sim_mode=sim_mode)
     return sweep_config(io_sizes=(IO_SIZE,), layouts=("object-end",),
                         image_size=32 * 1024 * 1024,
                         object_size=512 * 1024,
                         bytes_per_point=4 * 1024 * 1024,
-                        queue_depth=QUEUE_DEPTH, sim_mode=sim_mode,
+                        queue_depth=QUEUE_DEPTH,
                         num_clients=num_clients, params=params)
 
 

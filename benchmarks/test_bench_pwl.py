@@ -24,6 +24,7 @@ as floors, everything else at ±10% drift.
 from __future__ import annotations
 
 from repro import api
+from repro.cache import CacheConfig
 from repro.util import KIB, MIB
 from repro.workload.runner import WorkloadRunner
 from repro.workload.spec import WorkloadSpec
@@ -60,7 +61,7 @@ def test_pwl_ack_latency_vs_uncached(benchmark):
         for layout in LAYOUTS:
             uncached = _run(layout, f"un-{layout}", _write_spec())
             pwl = _run(layout, f"pwl-{layout}", _write_spec(
-                cache_mode="pwl", cache_size=8 * MIB))
+                cache=CacheConfig(mode="pwl", size=8 * MIB)))
             points[layout] = (uncached, pwl)
         return points
 
@@ -92,7 +93,7 @@ def test_pwl_drain_conserves_every_acked_write(benchmark):
     def sweep():
         for layout in LAYOUTS:
             points[layout] = _run(layout, f"drain-{layout}", _write_spec(
-                cache_mode="pwl", cache_size=1 * MIB))
+                cache=CacheConfig(mode="pwl", size=1 * MIB)))
         return points
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -9,13 +9,13 @@ exactly the quantity plotted in the paper's Fig. 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..api import create_encrypted_image, make_cluster
 from ..crypto.suite import SIMULATION_SUITE
 from ..errors import ConfigurationError
-from ..sim.costparams import CostParameters, default_cost_parameters
+from ..sim.costparams import CostParameters
 from ..workload.runner import WorkloadResult, WorkloadRunner, prefill_image
 from ..workload.spec import PAPER_IO_SIZES, WorkloadSpec
 from ..util import KIB, MIB, format_size
@@ -32,7 +32,6 @@ class SweepConfig:
     layouts: Sequence[str] = PAPER_LAYOUTS
     image_size: int = 64 * MIB
     object_size: int = 4 * MIB
-    queue_depth: int = 32
     #: bytes moved per (layout, io_size) point, bounded by io-count limits
     bytes_per_point: int = 16 * MIB
     min_ios: int = 8
@@ -41,47 +40,33 @@ class SweepConfig:
     #: the metadata path is identical, see DESIGN.md §2)
     cipher_suite: str = SIMULATION_SUITE
     codec: str = "xts"
-    seed: int = 1234
     osd_count: int = 3
     replica_count: int = 3
     journaled: bool = False
-    #: drive the sweep through the batched I/O engine (:mod:`repro.engine`)
-    batched: bool = False
-    #: cap on blocks one object accumulates per engine window (None = no cap)
-    batch_size: Optional[int] = None
-    #: performance model: "analytic" (closed-form fast path) or "events"
-    #: (discrete-event replay — required for contention to be visible);
-    #: ``None`` inherits whatever ``params`` carries (default analytic)
-    sim_mode: Optional[str] = None
-    #: independent client streams per sweep point (one image each, shared
-    #: cluster)
-    num_clients: int = 1
-    #: issue operations open-loop at ``arrival_rate`` ops/s per client
-    #: instead of the closed queue-depth loop (needs sim_mode "events")
-    open_loop: bool = False
-    #: per-client Poisson arrival rate in ops/s (required with open_loop)
-    arrival_rate: Optional[float] = None
-    #: client-side block cache mode: None (off), "writethrough", "writeback"
-    cache_mode: Optional[str] = None
-    #: cache capacity in bytes (None = the cache package default)
-    cache_size: Optional[int] = None
-    #: cache eviction policy: "lru" or "arc"
-    cache_policy: str = "lru"
-    #: maximum blocks of sequential-read prefetch (0 = readahead off)
-    readahead: int = 0
-    #: layers between each sweep image and a shared golden image (0 = the
-    #: classic standalone-image sweep; >= 1 clones every client's image
-    #: off one prefilled, protected golden snapshot — the boot-storm shape)
-    clone_depth: int = 0
-    #: name of the golden parent image when ``clone_depth`` > 0
-    clone_of: str = "golden"
+    #: the fio-style job every point runs: queue depth, seed, batching,
+    #: client count, arrivals, client cache and clone shape.  Each point
+    #: replaces its name, pattern, IO size and IO count.  A job with a
+    #: ``parent_image`` clones every client's image ``clone_depth`` layers
+    #: off one prefilled, protected golden snapshot of that name (the
+    #: boot-storm shape).  The seed is the sweep's historical 1234, not the
+    #: spec's own default: every offset stream depends on it.
+    job: WorkloadSpec = field(default_factory=lambda: WorkloadSpec(seed=1234))
     #: flatten every clone before measuring (isolates chain-descent cost:
     #: a flattened clone should perform like a standalone image)
     flatten: bool = False
     #: run the sweep against an erasure-coded pool of (k, m) data/parity
     #: chunks instead of the replicated "rbd" pool (needs osd_count >= k+m)
     pool_ec: Optional[Tuple[int, int]] = None
+    #: cost model of every point's cluster, performance model ("analytic"
+    #: or "events") included (None = :func:`default_cost_parameters`)
     params: Optional[CostParameters] = None
+
+    def __post_init__(self) -> None:
+        if self.pool_ec is not None and self.osd_count < sum(self.pool_ec):
+            k, m = self.pool_ec
+            raise ConfigurationError(
+                f"EC pool {k}+{m} needs at least {k + m} OSDs, "
+                f"sweep has osd_count={self.osd_count}")
 
     def io_count_for(self, io_size: int) -> int:
         """Requests issued for one sweep point."""
@@ -156,26 +141,15 @@ class LayoutSweep:
 
     def _make_cluster(self):
         config = self.config
-        base = (config.params if config.params is not None
-                else default_cost_parameters())
-        # with_overrides re-runs validation, so a typo'd sim_mode raises
-        # ConfigurationError here instead of silently running analytic.
-        overrides = ({} if config.sim_mode is None
-                     else {"sim_mode": config.sim_mode})
-        params = base.with_overrides(**overrides)
         return make_cluster(osd_count=config.osd_count,
                             replica_count=config.replica_count,
-                            params=params)
+                            params=config.params)
 
     def _make_image(self, layout: str, label: str, cluster):
         config = self.config
         pool = "rbd"
         if config.pool_ec is not None:
             k, m = config.pool_ec
-            if config.osd_count < k + m:
-                raise ConfigurationError(
-                    f"EC pool {k}+{m} needs at least {k + m} OSDs, "
-                    f"sweep has osd_count={config.osd_count}")
             pool = f"rbd-ec-{k}-{m}"
             # Idempotent for a shared cluster: create_pool returns the
             # existing pool when the shape matches.
@@ -190,41 +164,27 @@ class LayoutSweep:
             journaled=config.journaled, pool=pool)
         return image
 
-    def _spec(self, rw: str, io_size: int, prefill: bool) -> WorkloadSpec:
+    def _spec(self, rw: str, io_size: int) -> WorkloadSpec:
         config = self.config
-        return WorkloadSpec(name=f"{rw}-{io_size}", rw=rw, io_size=io_size,
-                            queue_depth=config.queue_depth,
-                            io_count=config.io_count_for(io_size),
-                            seed=config.seed, prefill=prefill,
-                            batched=config.batched,
-                            batch_size=config.batch_size,
-                            num_clients=config.num_clients,
-                            cache_mode=config.cache_mode,
-                            cache_size=config.cache_size,
-                            cache_policy=config.cache_policy,
-                            readahead=config.readahead,
-                            open_loop=config.open_loop,
-                            arrival_rate=config.arrival_rate,
-                            parent_image=(config.clone_of
-                                          if config.clone_depth else None),
-                            clone_depth=config.clone_depth)
+        return replace(config.job, name=f"{rw}-{io_size}", rw=rw,
+                       io_size=io_size, io_count=config.io_count_for(io_size),
+                       prefill=False)
 
     def _run_point(self, kind: str, rw: str, layout: str,
                    io_size: int) -> WorkloadResult:
-        config = self.config
         label = f"{kind}-{layout}-{io_size}"
         if self._tracer is not None:
             self._tracer.begin_process(f"{layout}/{format_size(io_size)}")
-        spec = self._spec(rw, io_size, prefill=False)
+        spec = self._spec(rw, io_size)
         cluster = self._make_cluster()
-        if config.clone_depth > 0:
-            images = self._clone_images(layout, label, cluster)
+        if spec.clone_depth > 0:
+            images = self._clone_images(spec, layout, label, cluster)
         else:
             images = []
-            for client in range(config.num_clients):
+            for client in range(spec.num_clients):
                 # The label is the object-name prefix CRUSH hashes and the
                 # seed of the IV DRBG: a lone client keeps the bare one.
-                name = (label if config.num_clients == 1
+                name = (label if spec.num_clients == 1
                         else f"{label}-c{client}")
                 image = self._make_image(layout, name, cluster)
                 if kind == "read":
@@ -233,7 +193,8 @@ class LayoutSweep:
         return WorkloadRunner(cluster, self._tracer).run_streams(
             images, spec, layout_name=layout)
 
-    def _clone_images(self, layout: str, label: str, cluster):
+    def _clone_images(self, spec: WorkloadSpec, layout: str, label: str,
+                      cluster):
         """Build the clone fan-out for one sweep point: a prefilled golden
         image per (cluster, layout), a ``clone_depth``-deep chain per
         client, every layer under its own passphrase; reads then exercise
@@ -242,21 +203,20 @@ class LayoutSweep:
         control measurement."""
         from ..clone import clone_fanout
 
-        config = self.config
-        golden_name = f"{config.clone_of}-{label}"
+        golden_name = f"{spec.parent_image}-{label}"
         golden = self._make_image(layout, golden_name, cluster)
         prefill_image(golden)
         golden.create_snapshot("base")
         golden.protect_snapshot("base")
         clones = clone_fanout(
             cluster, f"bench-{golden_name}", "base",
-            count=max(1, config.num_clients),
+            count=spec.num_clients,
             passphrase_for=lambda i, d: f"clone-{i}-{d}".encode("utf-8"),
             parent_passphrase=b"benchmark-passphrase",
-            clone_depth=config.clone_depth,
+            clone_depth=spec.clone_depth,
             random_seed_prefix=f"sweep-{label}".encode("utf-8"),
             pool=golden.ioctx.pool_name)
-        if config.flatten:
+        if self.config.flatten:
             for image in clones:
                 image.flatten()
         return clones

@@ -52,8 +52,11 @@ performance work starts from measured hot spots rather than guesses.
 from __future__ import annotations
 
 import argparse
+import os
+import random
 import sys
-from typing import List, Optional, Sequence
+from dataclasses import replace
+from typing import List, Optional, Sequence, Tuple
 
 from . import api
 from .analysis.overhead import LayoutSweep, PAPER_LAYOUTS, SweepConfig
@@ -61,8 +64,10 @@ from .analysis.report import (format_bandwidth_table, format_cache_table,
                               format_latency_table, format_metrics_table,
                               format_overhead_table, format_pwl_table, to_csv)
 from .analysis.sectors import SectorAccessModel, theoretical_overhead_table
-from .cache.config import CACHE_MODES, CACHE_POLICIES
-from .sim.costparams import SIM_MODES
+from .cache.config import (CACHE_MODES, CACHE_POLICIES, DEFAULT_CACHE_SIZE,
+                           CacheConfig)
+from .errors import ConfigurationError, ReproError
+from .sim.costparams import SIM_MODES, default_cost_parameters
 from .util import MIB, format_size, parse_size
 from .workload.spec import PAPER_IO_SIZES
 
@@ -110,65 +115,79 @@ def _write_metrics(args: argparse.Namespace, registry) -> None:
     print(f"metrics: Prometheus exposition -> {args.metrics_out}")
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.batch_size is not None and not args.batched:
-        raise SystemExit("--batch-size only takes effect with --batched")
-    if args.num_clients < 1:
-        raise SystemExit("--num-clients must be positive")
+def _usage_error(args: argparse.Namespace, message: object) -> SystemExit:
+    """A one-line exit naming the subcommand, instead of a traceback."""
+    return SystemExit(f"repro {args.command}: {message}")
+
+
+def _fault_seed(args: argparse.Namespace) -> int:
+    """``--fault-seed``, else ``FAULT_SEED`` from the environment, else a
+    fresh random seed (printed by the caller for exact replay)."""
+    if args.fault_seed is not None:
+        return args.fault_seed
+    env_seed = os.environ.get("FAULT_SEED", "").strip()
+    return int(env_seed) if env_seed else random.SystemRandom().randrange(2 ** 32)
+
+
+def _pool_ec(args: argparse.Namespace) -> Optional[Tuple[int, int]]:
+    """``--pool-ec K,M`` as a ``(k, m)`` pair (None when not given)."""
+    if not args.pool_ec:
+        return None
+    from .rados.ec import EcProfile
+    try:
+        profile = EcProfile.parse(args.pool_ec)
+    except ConfigurationError as exc:
+        raise _usage_error(args, exc)
+    return profile.k, profile.m
+
+
+def _sweep_config(args: argparse.Namespace) -> SweepConfig:
+    """Build the whole sweep before anything runs.  Every rule the
+    constructors check is theirs alone; only rules about how the flags
+    combine are checked here."""
     if args.cache_mode is None and (args.cache_size or args.readahead
                                     or args.cache_policy != "lru"):
-        raise SystemExit("--cache-size/--readahead/--cache-policy only take "
-                         "effect with --cache-mode")
+        raise _usage_error(args, "--cache-size/--readahead/--cache-policy "
+                           "only take effect with --cache-mode")
     clone_depth = args.clone_depth
     if clone_depth is None:
         clone_depth = 1 if args.clone_of else 0
-    if clone_depth < 0:
-        raise SystemExit("--clone-depth must be >= 0")
     if args.clone_of and clone_depth == 0:
-        raise SystemExit("--clone-of requires --clone-depth >= 1")
+        raise _usage_error(args, "--clone-of requires --clone-depth >= 1")
     if args.flatten and clone_depth == 0:
-        raise SystemExit("--flatten only takes effect with "
-                         "--clone-of/--clone-depth")
-    if args.open_loop and args.arrival_rate is None:
-        raise SystemExit("--open-loop needs --arrival-rate (ops/s)")
-    if args.arrival_rate is not None and not args.open_loop:
-        raise SystemExit("--arrival-rate only takes effect with --open-loop")
-    pool_ec = None
-    if args.pool_ec:
-        from .errors import ConfigurationError
-        from .rados.ec import EcProfile
-        try:
-            profile = EcProfile.parse(args.pool_ec)
-        except ConfigurationError as exc:
-            raise SystemExit(str(exc))
-        if args.osds < profile.total:
-            raise SystemExit(f"--pool-ec {args.pool_ec} needs --osds >= "
-                             f"{profile.total}")
-        pool_ec = (profile.k, profile.m)
-    config = SweepConfig(
-        io_sizes=_parse_sizes(args.sizes),
-        layouts=_parse_layouts(args.layouts),
-        image_size=parse_size(args.image_size),
-        bytes_per_point=parse_size(args.bytes_per_point),
-        queue_depth=args.queue_depth,
-        osd_count=args.osds,
-        replica_count=args.replicas,
-        journaled=args.journaled,
-        batched=args.batched,
-        batch_size=args.batch_size,
-        sim_mode=args.sim_mode,
-        num_clients=args.num_clients,
-        open_loop=args.open_loop,
-        arrival_rate=args.arrival_rate,
-        cache_mode=args.cache_mode,
-        cache_size=(parse_size(args.cache_size) if args.cache_size else None),
-        cache_policy=args.cache_policy,
-        readahead=args.readahead,
-        clone_depth=clone_depth,
-        clone_of=args.clone_of or "golden",
-        flatten=args.flatten,
-        pool_ec=pool_ec,
-    )
+        raise _usage_error(args, "--flatten only takes effect with "
+                           "--clone-of/--clone-depth")
+    pool_ec = _pool_ec(args)
+    try:
+        cache = None
+        if args.cache_mode is not None:
+            cache = CacheConfig(mode=args.cache_mode,
+                                size=args.cache_size or DEFAULT_CACHE_SIZE,
+                                policy=args.cache_policy,
+                                readahead_blocks=args.readahead)
+        job = replace(
+            SweepConfig().job, queue_depth=args.queue_depth,
+            batched=args.batched, batch_size=args.batch_size,
+            num_clients=args.num_clients, cache=cache,
+            arrival_rate=args.arrival_rate,
+            parent_image=(args.clone_of or "golden") if clone_depth else None,
+            clone_depth=clone_depth)
+        params = default_cost_parameters().with_overrides(
+            sim_mode=args.sim_mode)
+        return SweepConfig(
+            io_sizes=_parse_sizes(args.sizes),
+            layouts=_parse_layouts(args.layouts),
+            image_size=parse_size(args.image_size),
+            bytes_per_point=parse_size(args.bytes_per_point),
+            osd_count=args.osds, replica_count=args.replicas,
+            journaled=args.journaled, job=job, flatten=args.flatten,
+            pool_ec=pool_ec, params=params)
+    except ReproError as exc:
+        raise _usage_error(args, exc)
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    config = _sweep_config(args)
     tracer = _make_tracer(args)
     results = LayoutSweep(config, tracer=tracer).run(args.kind)
     print(format_bandwidth_table(results))
@@ -215,7 +234,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     from .crypto.suite import SIMULATION_SUITE
     from .sim.compact import encode_stream
-    from .sim.costparams import default_cost_parameters
     from .sim.fleet import fleet_streams_from_template, simulate_fleet
     from .workload.arrival import PoissonArrivals, arrival_schedule
     from .workload.runner import capture_template_stream, prefill_image
@@ -281,18 +299,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_crash(args: argparse.Namespace) -> int:
-    import os
-    import random
-
     from .faults.plan import ALL_STAGES
     from .faults.scenarios import run_crash_scenario
 
     if args.io_count < 1:
         raise SystemExit("--io-count must be positive")
-    seed = args.fault_seed
-    if seed is None:
-        env_seed = os.environ.get("FAULT_SEED", "").strip()
-        seed = int(env_seed) if env_seed else random.SystemRandom().randrange(2 ** 32)
+    seed = _fault_seed(args)
     stages = ALL_STAGES if args.fault_stage == "all" else (args.fault_stage,)
     print(f"FAULT_SEED={seed}  "
           f"(rerun: repro crash --fault-seed {seed}"
@@ -318,27 +330,13 @@ def _cmd_crash(args: argparse.Namespace) -> int:
 
 
 def _cmd_failure_drill(args: argparse.Namespace) -> int:
-    import os
-    import random
-
-    from .errors import ConfigurationError
     from .faults.drill import run_failure_drill
     from .faults.plan import EC_KILL_STAGES, REPLICATED_KILL_STAGES
-    from .rados.ec import EcProfile
 
     if args.osds < 3:
         raise SystemExit("--osds must be >= 3 (three-way replication)")
-    pool_ec = None
-    if args.pool_ec:
-        try:
-            profile = EcProfile.parse(args.pool_ec)
-        except ConfigurationError as exc:
-            raise SystemExit(str(exc))
-        pool_ec = (profile.k, profile.m)
-    seed = args.fault_seed
-    if seed is None:
-        env_seed = os.environ.get("FAULT_SEED", "").strip()
-        seed = int(env_seed) if env_seed else random.SystemRandom().randrange(2 ** 32)
+    pool_ec = _pool_ec(args)
+    seed = _fault_seed(args)
     if args.fault_stage == "all":
         stages = EC_KILL_STAGES if pool_ec else REPLICATED_KILL_STAGES
     else:
@@ -451,13 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="independent client streams per point, all "
                        "contending for one cluster (contention needs "
                        "--sim-mode events to be visible)")
-    sweep.add_argument("--open-loop", action="store_true",
-                       help="issue operations at Poisson arrival times "
-                       "(--arrival-rate) instead of the closed queue-depth "
-                       "loop; needs --sim-mode events")
     sweep.add_argument("--arrival-rate", type=float, default=None,
                        metavar="OPS_PER_SEC",
-                       help="per-client open-loop arrival rate (ops/s)")
+                       help="issue operations open-loop at this per-client "
+                       "Poisson arrival rate (ops/s) instead of the closed "
+                       "queue-depth loop; needs --sim-mode events")
     sweep.add_argument("--cache-mode", choices=CACHE_MODES, default=None,
                        help="client-side cache: 'writethrough' keeps the "
                        "RADOS write stream identical and absorbs reads; "

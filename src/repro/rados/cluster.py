@@ -162,12 +162,13 @@ class Cluster:
                  params: Optional[CostParameters] = None,
                  ledger: Optional[CostLedger] = None) -> None:
         self.config = config or ClusterConfig()
-        self.params = params or default_cost_parameters()
-        # Keep the cost parameters' idea of the cluster shape in sync with
-        # the actual cluster so the performance model divides busy time by
-        # the right number of OSDs.
-        self.params.osd_count = self.config.osd_count
-        self.params.replica_count = self.config.replica_count
+        # The cost parameters' idea of the cluster shape follows the actual
+        # cluster so the performance model divides busy time by the right
+        # number of OSDs.  A copy: the caller's object may shape another
+        # cluster too.
+        self.params = (params or default_cost_parameters()).with_overrides(
+            osd_count=self.config.osd_count,
+            replica_count=self.config.replica_count)
         self.ledger = ledger or CostLedger()
         self.osds: List[OSD] = [
             OSD(osd_id=i, params=self.params, ledger=self.ledger,

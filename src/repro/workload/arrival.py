@@ -93,9 +93,8 @@ def arrival_schedule(process: ArrivalProcess,
 def arrival_process_for(spec) -> ArrivalProcess:
     """The arrival process a :class:`~repro.workload.spec.WorkloadSpec`
     asks for (its ``arrival_rate``, seeded by its ``seed``)."""
-    if not getattr(spec, "open_loop", False) or spec.arrival_rate is None:
-        raise WorkloadError(
-            "spec is not open-loop (set open_loop=True and arrival_rate)")
+    if spec.arrival_rate is None:
+        raise WorkloadError("spec is not open-loop (set its arrival_rate)")
     return PoissonArrivals(rate_per_client=spec.arrival_rate, seed=spec.seed)
 
 

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence
 from .arrival import arrival_process_for, arrival_schedule
 from .generator import generate_request_list
 from .spec import WorkloadSpec
+from ..cache import wrap_image
 from ..engine.pipeline import EngineConfig, IoPipeline
 from ..errors import WorkloadError
 from ..rados.cluster import Cluster
@@ -39,17 +40,6 @@ from ..sim.ledger import ClientOpTrace, CostLedger
 from ..sim.perfmodel import PerformanceEstimate, PerformanceModel
 from ..sim.scheduler import simulate_client_ops, simulate_open_loop
 from ..util import MIB
-
-
-def wrap_in_cache(image: ImageLike, spec: WorkloadSpec):
-    """Wrap ``image`` in the spec's client-side cache (no-op when off).
-
-    Cache mode ``"pwl"`` selects the crash-safe persistent write log
-    (:class:`repro.pwl.PwlImage`) instead of the block cache.
-    """
-    config = spec.cache_config()
-    from ..cache import wrap_image
-    return wrap_image(image, config)
 
 
 def finish_cache_flush(ledger: CostLedger, cached, latencies: List[float]) -> None:
@@ -183,8 +173,9 @@ class _ClientStream:
         self._ledger = ledger
         self.index = index
         # Each client stream owns its cache (client-side caching), wrapped
-        # around its own image.
-        self.image = wrap_in_cache(image, spec)
+        # around its own image; cache mode "pwl" selects the crash-safe
+        # persistent write log instead of the block cache.
+        self.image = wrap_image(image, spec.cache)
         self.cached = self.image if self.image is not image else None
         self.requests = generate_request_list(spec, image.size)
         self.cursor = 0
@@ -336,7 +327,8 @@ class WorkloadRunner:
                     layout_name: Optional[str] = None) -> WorkloadResult:
         """Execute ``spec`` across ``images``, one per client stream."""
         events = self.sim_mode == "events"
-        if spec.open_loop and not events:
+        open_loop = spec.arrival_rate is not None
+        if open_loop and not events:
             raise WorkloadError(
                 "open-loop arrivals need sim_mode='events' (the analytic "
                 "model has no notion of arrival times)")
@@ -349,7 +341,7 @@ class WorkloadRunner:
         # keep spec.queue_depth operations in flight.
         model_depth = 1 if spec.batched else spec.queue_depth
         if events:
-            if spec.open_loop:
+            if open_loop:
                 # Each client issues on its own deterministic schedule
                 # (the process seeds per client index), sized to the
                 # stream's sealed op count (cache flushes and batch

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
+from ..cache.config import CacheConfig
 from ..errors import WorkloadError
 from ..util import KIB, MIB, parse_size
 
@@ -53,25 +54,18 @@ class WorkloadSpec:
     #: ``queue_depth`` ops in flight; >1 needs the event-driven sim mode to
     #: mean anything — the analytic model cannot see contention)
     num_clients: int = 1
-    #: client-side cache mode: None (off), "writethrough", "writeback"
-    #: (block cache) or "pwl" (crash-safe persistent write log); each
-    #: client stream gets its own cache/log
-    cache_mode: Optional[str] = None
-    #: cache capacity in bytes (None = the cache package default)
-    cache_size: Optional[int] = None
-    #: cache eviction policy: "lru" or "arc"
-    cache_policy: str = "lru"
-    #: maximum blocks of sequential-read prefetch (0 = readahead off)
-    readahead: int = 0
-    #: issue operations open-loop: each op starts at a timestamp drawn
-    #: from the arrival process (``arrival_rate``) instead of waiting for
-    #: a completion slot.  Offered load no longer adapts to the system —
-    #: overload shows up as unbounded queueing and a collapsing tail —
-    #: and the replay can be fully vectorized.  Needs ``sim_mode="events"``
-    #: (the analytic model has no notion of arrival times).
-    open_loop: bool = False
+    #: client-side cache: None (off), or the block cache ("writethrough",
+    #: "writeback") or crash-safe persistent write log ("pwl") this config
+    #: selects; each client stream gets its own cache/log
+    cache: Optional[CacheConfig] = None
     #: open-loop Poisson arrival rate per client, in client-visible
-    #: operations per second (required when ``open_loop`` is set)
+    #: operations per second; None keeps the closed queue-depth loop.  Set,
+    #: the run is open-loop: each op starts at a timestamp drawn from the
+    #: arrival process instead of waiting for a completion slot.  Offered
+    #: load no longer adapts to the system — overload shows up as unbounded
+    #: queueing and a collapsing tail — and the replay can be fully
+    #: vectorized.  Needs ``sim_mode="events"`` (the analytic model has no
+    #: notion of arrival times).
     arrival_rate: Optional[float] = None
     #: name of the golden image this job's images are clones of (None =
     #: standalone images); image construction is done by the harness
@@ -81,7 +75,6 @@ class WorkloadSpec:
     #: layers between each client's image and the golden image (0 = not a
     #: clone scenario; >= 1 requires ``parent_image``)
     clone_depth: int = 0
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.rw not in _VALID_PATTERNS:
@@ -103,33 +96,8 @@ class WorkloadSpec:
             raise WorkloadError("batch_size only takes effect with batched=True")
         if self.num_clients <= 0:
             raise WorkloadError("num_clients must be positive")
-        from ..cache.config import CACHE_MODES, CACHE_POLICIES
-        if self.cache_mode is not None and self.cache_mode not in CACHE_MODES:
-            raise WorkloadError(
-                f"cache_mode must be None or one of {CACHE_MODES}")
-        if self.cache_policy not in CACHE_POLICIES:
-            raise WorkloadError(
-                f"cache_policy must be one of {CACHE_POLICIES}")
-        if isinstance(self.cache_size, str):
-            self.cache_size = parse_size(self.cache_size)
-        if self.cache_size is not None and self.cache_size <= 0:
-            raise WorkloadError("cache_size must be positive")
-        if self.readahead < 0:
-            raise WorkloadError("readahead must be >= 0")
-        if self.cache_mode is None and (self.cache_size is not None
-                                        or self.readahead
-                                        or self.cache_policy != "lru"):
-            raise WorkloadError(
-                "cache_size/readahead/cache_policy only take effect with "
-                "a cache_mode")
-        if self.open_loop and self.arrival_rate is None:
-            raise WorkloadError("open_loop needs an arrival_rate (ops/s)")
-        if self.arrival_rate is not None:
-            if not self.open_loop:
-                raise WorkloadError(
-                    "arrival_rate only takes effect with open_loop=True")
-            if self.arrival_rate <= 0:
-                raise WorkloadError("arrival_rate must be positive")
+        if self.arrival_rate is not None and self.arrival_rate <= 0:
+            raise WorkloadError("arrival_rate must be positive")
         if self.clone_depth < 0:
             raise WorkloadError("clone_depth must be >= 0")
         if self.clone_depth and not self.parent_image:
@@ -161,26 +129,15 @@ class WorkloadSpec:
         return replace(self, name=f"{self.name}.c{client}",
                        seed=self.seed + 7919 * client, num_clients=1)
 
-    def cache_config(self):
-        """The :class:`~repro.cache.CacheConfig` this spec asks for
-        (``None`` when caching is off)."""
-        if self.cache_mode is None:
-            return None
-        from ..cache.config import CacheConfig, DEFAULT_CACHE_SIZE
-        return CacheConfig(mode=self.cache_mode,
-                           size=self.cache_size or DEFAULT_CACHE_SIZE,
-                           policy=self.cache_policy,
-                           readahead_blocks=self.readahead)
-
     def describe(self) -> str:
         """Short fio-style description."""
         engine = " engine=batched" if self.batched else ""
         clients = f" clients={self.num_clients}" if self.num_clients > 1 else ""
-        cache = f" cache={self.cache_mode}" if self.cache_mode else ""
+        cache = f" cache={self.cache.mode}" if self.cache is not None else ""
         clone = (f" clone-of={self.parent_image} depth={self.clone_depth}"
                  if self.parent_image else "")
         arrivals = (f" open-loop rate={self.arrival_rate:g}/s"
-                    if self.open_loop else "")
+                    if self.arrival_rate is not None else "")
         return (f"{self.name}: rw={self.rw} bs={self.io_size} "
                 f"qd={self.queue_depth} seed={self.seed}{engine}{clients}"
                 f"{cache}{clone}{arrivals}")

@@ -1,5 +1,7 @@
 """Tests for the analytic sector model, sweep machinery and report rendering."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.overhead import (LayoutSweep, SweepConfig,
@@ -109,7 +111,8 @@ class TestSweepAndReports:
         (it looked in "rbd": ``ImageNotFoundError``)."""
         config = SweepConfig(io_sizes=(16 * KIB,), layouts=("object-end",),
                              image_size=4 * MIB, bytes_per_point=256 * KIB,
-                             clone_of="golden", clone_depth=1,
+                             job=replace(SweepConfig().job,
+                                         parent_image="golden", clone_depth=1),
                              pool_ec=(4, 2), osd_count=8)
         sweep = LayoutSweep(config).run("write")
         assert sweep.bandwidth("object-end", 16 * KIB) > 0

@@ -8,6 +8,7 @@ from repro.rados import (Cluster, ClusterConfig, OpStat, ReadOperation,
                          WriteTransaction)
 from repro.rados.client import SnapContext
 from repro.rados.placement import PlacementMap
+from repro.sim.costparams import default_cost_parameters
 from repro.sim.ledger import RES_CLIENT_NET, RES_CLUSTER_NET
 
 
@@ -143,6 +144,19 @@ class TestClusterSetup:
     def test_describe_mentions_pools_and_osds(self):
         text = Cluster().describe()
         assert "3 OSDs" in text and "rbd" in text
+
+    def test_clusters_do_not_share_the_callers_cost_parameters(self):
+        """Regression: a cluster wrote its shape into the caller's
+        CostParameters, so building a 3-OSD cluster from an 8-OSD
+        cluster's parameters made the first one divide its OSD work by 3."""
+        params = default_cost_parameters().with_overrides(
+            osd_count=5, replica_count=2, sim_mode="events")
+        wide = Cluster(config=ClusterConfig(osd_count=8), params=params)
+        narrow = Cluster(config=ClusterConfig(osd_count=3), params=params)
+        assert (wide.params.osd_count, wide.params.replica_count) == (8, 3)
+        assert (narrow.params.osd_count, narrow.params.replica_count) == (3, 3)
+        assert wide.params.sim_mode == narrow.params.sim_mode == "events"
+        assert (params.osd_count, params.replica_count) == (5, 2)
 
 
 class TestDataPath:

@@ -13,6 +13,8 @@ idealizes away — which is accuracy, not disagreement, but it would make
 the band test about placement luck rather than about the models.
 """
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.analysis.overhead import LayoutSweep, SweepConfig
@@ -25,21 +27,23 @@ LAYOUTS = ("luks-baseline", "object-end")
 
 
 def _sweep(sim_mode: str, kind: str):
-    params = default_cost_parameters()
-    params.osd_shards = 2
+    params = default_cost_parameters().with_overrides(osd_shards=2,
+                                                      sim_mode=sim_mode)
     config = SweepConfig(io_sizes=IO_SIZES, layouts=LAYOUTS,
                          image_size=32 * MIB, object_size=512 * KIB,
                          bytes_per_point=16 * MIB, min_ios=16, max_ios=128,
-                         queue_depth=32, sim_mode=sim_mode, params=params)
+                         job=replace(SweepConfig().job, queue_depth=32),
+                         params=params)
     return LayoutSweep(config).run(kind)
 
 
 def test_sweep_config_sim_mode_is_validated():
+    """The sim mode lives in the cost parameters alone: a typo is refused
+    where they are built, before any sweep exists."""
     from repro.errors import ConfigurationError
-    config = SweepConfig(io_sizes=(4096,), layouts=("luks-baseline",),
-                         sim_mode="event")  # typo
-    with pytest.raises(ConfigurationError):
-        LayoutSweep(config).run("write")
+    with pytest.raises(ConfigurationError, match="sim_mode"):
+        default_cost_parameters().with_overrides(sim_mode="event")  # typo
+    assert "sim_mode" not in {field.name for field in fields(SweepConfig)}
 
 
 def test_sweep_inherits_sim_mode_from_params():
@@ -47,7 +51,7 @@ def test_sweep_inherits_sim_mode_from_params():
     params.sim_mode = "events"
     config = SweepConfig(io_sizes=(4096,), layouts=("luks-baseline",),
                          image_size=16 * MIB, bytes_per_point=256 * KIB,
-                         max_ios=16, params=params)  # sim_mode left None
+                         max_ios=16, params=params)
     results = LayoutSweep(config).run("write")
     assert results.result("luks-baseline", 4096).estimate.sim_mode == "events"
 
@@ -74,13 +78,13 @@ def test_crypto_bound_workloads_stay_in_band():
     with an expensive (no-AES-NI) cipher calibration the client CPU is the
     bottleneck, and both models must agree there too."""
     def point(sim_mode):
-        params = default_cost_parameters()
-        params.osd_shards = 2
-        params.crypto_block_cost_us = 50.0
+        params = default_cost_parameters().with_overrides(
+            osd_shards=2, crypto_block_cost_us=50.0, sim_mode=sim_mode)
         config = SweepConfig(io_sizes=(64 * KIB,), layouts=("object-end",),
                              image_size=32 * MIB, object_size=512 * KIB,
                              bytes_per_point=8 * MIB, max_ios=128,
-                             queue_depth=32, sim_mode=sim_mode, params=params)
+                             job=replace(SweepConfig().job, queue_depth=32),
+                             params=params)
         return LayoutSweep(config).run("write").result("object-end", 64 * KIB)
 
     analytic, events = point("analytic"), point("events")

@@ -3,12 +3,29 @@
 import pytest
 
 from repro import api
+from repro.analysis import overhead
 from repro.cli import build_parser, main
 from repro.errors import ImageExistsError
 from repro.util import (MIB, ceil_div, constant_time_compare, contiguous_runs,
                         covers_block, format_size, hexdump, is_power_of_two,
                         parse_size, round_down, round_up, split_block_pieces,
                         split_range, xor_bytes)
+
+#: sweep flag combinations that must be refused before anything runs
+BAD_SWEEPS = {
+    "pwl-readahead": ["--cache-mode", "pwl", "--readahead", "4"],
+    "queue-depth-0": ["--queue-depth", "0"],
+    "writeback-size-0": ["--cache-mode", "writeback", "--cache-size", "0"],
+    "batch-size-unbatched": ["--batch-size", "8"],
+    "num-clients-0": ["--num-clients", "0"],
+    "cache-size-no-mode": ["--cache-size", "8M"],
+    "clone-depth-negative": ["--clone-depth", "-1"],
+    "clone-of-depth-0": ["--clone-of", "g", "--clone-depth", "0"],
+    "flatten-no-clone": ["--flatten"],
+    "ec-too-wide": ["--pool-ec", "4,2", "--osds", "3"],
+    "ec-malformed": ["--pool-ec", "4"],
+    "arrival-rate-negative": ["--arrival-rate", "-5"],
+}
 
 
 class TestCli:
@@ -163,6 +180,24 @@ class TestCli:
             # user control-run numbers labelled as the clone scenario.
             main(["sweep", "--sizes", "16K", "--clone-of", "golden",
                   "--clone-depth", "0"])
+
+    @pytest.mark.parametrize("flags", list(BAD_SWEEPS.values()),
+                             ids=list(BAD_SWEEPS))
+    def test_sweep_usage_errors_exit_before_any_cluster(self, flags,
+                                                        monkeypatch):
+        """Every rule is checked where the sweep is built, so a bad flag
+        combination is one line on stderr, not a traceback after the first
+        cluster and image exist."""
+        def no_cluster(*args, **kwargs):
+            raise AssertionError("a cluster was built for a bad sweep")
+
+        monkeypatch.setattr(api, "make_cluster", no_cluster)
+        monkeypatch.setattr(overhead, "make_cluster", no_cluster)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--sizes", "16K", *flags])
+        message = exit_info.value.code
+        assert isinstance(message, str), message
+        assert message.startswith("repro sweep: ") and "\n" not in message
 
 
 class TestApiHelpers:

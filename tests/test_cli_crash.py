@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import main
-from repro.errors import ConfigurationError
 from repro.faults import ALL_STAGES
 
 
@@ -62,6 +61,6 @@ class TestSweepPwlMode:
         assert "Persistent write log" in out
 
     def test_sweep_pwl_rejects_readahead(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(SystemExit, match="readahead does not apply"):
             main(["sweep", "--sizes", "16K", "--cache-mode", "pwl",
                   "--readahead", "4"])

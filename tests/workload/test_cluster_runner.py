@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import create_encrypted_image, make_cluster
+from repro.cache import CacheConfig
 from repro.errors import WorkloadError
 from repro.sim.costparams import default_cost_parameters
 from repro.util import KIB, MIB
@@ -118,7 +119,8 @@ class TestClusterRunner:
         """Cached multi-client runs: per-stream caches, shared cluster."""
         cluster = _cluster()
         images = _images(cluster, 2)
-        spec = _spec(cache_mode="writeback", cache_size=8 * MIB, io_count=32)
+        spec = _spec(cache=CacheConfig(mode="writeback", size=8 * MIB),
+                     io_count=32)
         result = ClusterWorkloadRunner(cluster).run(images, spec)
         assert result.estimate.sim_mode == "events"
         # Both streams completed every request (plus at most one final
@@ -134,8 +136,9 @@ class TestClusterRunner:
     def test_cached_batched_multi_client_combination(self):
         cluster = _cluster(sim_mode="analytic")
         images = _images(cluster, 2)
-        spec = _spec(batched=True, cache_mode="writeback",
-                     cache_size=8 * MIB, io_count=24)
+        spec = _spec(batched=True,
+                     cache=CacheConfig(mode="writeback", size=8 * MIB),
+                     io_count=24)
         result = ClusterWorkloadRunner(cluster).run(images, spec)
         assert result.estimate.total_bytes == 2 * 24 * 16 * KIB
         assert result.counter("cache.writebacks") > 0

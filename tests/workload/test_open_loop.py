@@ -36,7 +36,7 @@ def _image(cluster, name="open-loop", size=16 * MIB):
 
 def _spec(**overrides):
     defaults = dict(rw="randwrite", io_size=16 * KIB, queue_depth=4,
-                    io_count=24, open_loop=True, arrival_rate=2000.0)
+                    io_count=24, arrival_rate=2000.0)
     defaults.update(overrides)
     return WorkloadSpec(**defaults)
 
@@ -69,18 +69,15 @@ class TestArrivalProcesses:
 
     def test_arrival_process_for_requires_open_loop(self):
         with pytest.raises(WorkloadError):
-            arrival_process_for(_spec(open_loop=False, arrival_rate=None))
+            arrival_process_for(_spec(arrival_rate=None))
 
 
 class TestSpecValidation:
     def test_open_loop_requires_rate(self):
         with pytest.raises(WorkloadError):
-            WorkloadSpec(open_loop=True)
-        with pytest.raises(WorkloadError):
-            WorkloadSpec(arrival_rate=100.0)
-        with pytest.raises(WorkloadError):
-            WorkloadSpec(open_loop=True, arrival_rate=-5.0)
+            WorkloadSpec(arrival_rate=-5.0)
         assert "open-loop" in _spec().describe()
+        assert "open-loop" not in _spec(arrival_rate=None).describe()
 
 
 class TestRunnerIntegration:

@@ -8,10 +8,12 @@ third issue loop comes back — a second call site of the model, the request
 generator or the image's scalar read — or when the entries stop meaning the
 same thing.  They also pin what only one body could give: the image-count
 check on every entry, seeded payloads, and a capture that issues what the
-run would issue.
+run would issue.  And the job the runner is handed is described once: a
+sweep point is a ``WorkloadSpec``, not a second set of mirrored fields.
 """
 
 import ast
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -19,7 +21,10 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.analysis.overhead import SweepConfig
 from repro.api import create_encrypted_image, make_cluster
+from repro.cache import CacheConfig
+from repro.cli import build_parser
 from repro.errors import WorkloadError
 from repro.sim.costparams import default_cost_parameters
 from repro.util import KIB, MIB
@@ -152,7 +157,32 @@ def test_structure_checks_catch_a_pasted_back_twin():
                       ("os.urandom",)) == {"os.urandom": ["x.py:1"]}
 
 
-# -- (b) behaviour --------------------------------------------------------------
+# -- (b) one run description ----------------------------------------------------
+
+def _names(cls):
+    return {field.name for field in dataclasses.fields(cls)}
+
+
+def test_a_sweep_point_is_a_workload_spec():
+    """The sweep holds its job as a ``WorkloadSpec`` and the job holds its
+    cache as a ``CacheConfig``: no field is declared twice, so no rule is
+    checked twice, and no second switch says what ``arrival_rate`` says."""
+    assert not _names(SweepConfig) & _names(WorkloadSpec)
+    assert not {"cache_mode", "cache_size", "cache_policy", "readahead",
+                "open_loop", "extra"} & _names(WorkloadSpec)
+    # 1234 is the sweep's seed; the spec's own default would move every
+    # offset stream of every sweep.
+    assert SweepConfig().job == WorkloadSpec(seed=1234)
+
+
+def test_the_sweep_has_no_open_loop_switch(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["sweep", "--open-loop"])
+    assert exit_info.value.code == 2
+    assert "--open-loop" in capsys.readouterr().err
+
+
+# -- (c) behaviour --------------------------------------------------------------
 
 def _cluster(sim_mode="events"):
     return make_cluster(
@@ -266,7 +296,7 @@ def test_a_batched_capture_is_the_stream_the_run_replays(monkeypatch,
     """``capture_template_stream`` used to ignore ``batched`` (and the cache
     and the prefill) and hand back unbatched traces without a word."""
     spec = _spec(rw="randrw", batched=True, prefill=True,
-                 cache_mode=cache_mode)
+                 cache=cache_mode and CacheConfig(mode=cache_mode))
     replayed = []
     simulate = runner_module.simulate_client_ops
 

@@ -590,6 +590,7 @@ def _capture(layout: str, pattern: str) -> str:
 
 def runner_records(layouts: Sequence[str],
                    patterns: Sequence[str]) -> Iterator[Record]:
+    from repro.cache import CacheConfig
     from repro.workload.spec import WorkloadSpec
 
     for layout in layouts:
@@ -599,8 +600,8 @@ def runner_records(layouts: Sequence[str],
             label, sim_mode, traced, open_loop = mode
             spec = WorkloadSpec(
                 name="runner", rw=pattern, io_size=4 * BLOCK, queue_depth=4,
-                io_count=24, seed=5, batched=batched, cache_mode=cache,
-                num_clients=clients, open_loop=open_loop,
+                io_count=24, seed=5, batched=batched,
+                cache=cache and CacheConfig(mode=cache), num_clients=clients,
                 arrival_rate=2000.0 if open_loop else None)
             yield (f"runner/{layout}/{pattern}/"
                    f"{'batched' if batched else 'scalar'}/"
