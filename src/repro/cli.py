@@ -66,7 +66,7 @@ from .analysis.report import (format_bandwidth_table, format_cache_table,
 from .analysis.sectors import SectorAccessModel, theoretical_overhead_table
 from .cache.config import (CACHE_MODES, CACHE_POLICIES, DEFAULT_CACHE_SIZE,
                            CacheConfig)
-from .errors import ConfigurationError, ReproError
+from .errors import ReproError
 from .sim.costparams import SIM_MODES, default_cost_parameters
 from .util import MIB, format_size, parse_size
 from .workload.spec import PAPER_IO_SIZES
@@ -134,10 +134,7 @@ def _pool_ec(args: argparse.Namespace) -> Optional[Tuple[int, int]]:
     if not args.pool_ec:
         return None
     from .rados.ec import EcProfile
-    try:
-        profile = EcProfile.parse(args.pool_ec)
-    except ConfigurationError as exc:
-        raise _usage_error(args, exc)
+    profile = EcProfile.parse(args.pool_ec)
     return profile.k, profile.m
 
 
@@ -158,32 +155,28 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
         raise _usage_error(args, "--flatten only takes effect with "
                            "--clone-of/--clone-depth")
     pool_ec = _pool_ec(args)
-    try:
-        cache = None
-        if args.cache_mode is not None:
-            cache = CacheConfig(mode=args.cache_mode,
-                                size=args.cache_size or DEFAULT_CACHE_SIZE,
-                                policy=args.cache_policy,
-                                readahead_blocks=args.readahead)
-        job = replace(
-            SweepConfig().job, queue_depth=args.queue_depth,
-            batched=args.batched, batch_size=args.batch_size,
-            num_clients=args.num_clients, cache=cache,
-            arrival_rate=args.arrival_rate,
-            parent_image=(args.clone_of or "golden") if clone_depth else None,
-            clone_depth=clone_depth)
-        params = default_cost_parameters().with_overrides(
-            sim_mode=args.sim_mode)
-        return SweepConfig(
-            io_sizes=_parse_sizes(args.sizes),
-            layouts=_parse_layouts(args.layouts),
-            image_size=parse_size(args.image_size),
-            bytes_per_point=parse_size(args.bytes_per_point),
-            osd_count=args.osds, replica_count=args.replicas,
-            journaled=args.journaled, job=job, flatten=args.flatten,
-            pool_ec=pool_ec, params=params)
-    except ReproError as exc:
-        raise _usage_error(args, exc)
+    cache = None
+    if args.cache_mode is not None:
+        cache = CacheConfig(mode=args.cache_mode,
+                            size=args.cache_size or DEFAULT_CACHE_SIZE,
+                            policy=args.cache_policy,
+                            readahead_blocks=args.readahead)
+    job = replace(
+        SweepConfig().job, queue_depth=args.queue_depth,
+        batched=args.batched, batch_size=args.batch_size,
+        num_clients=args.num_clients, cache=cache,
+        arrival_rate=args.arrival_rate,
+        parent_image=(args.clone_of or "golden") if clone_depth else None,
+        clone_depth=clone_depth)
+    params = default_cost_parameters().with_overrides(sim_mode=args.sim_mode)
+    return SweepConfig(
+        io_sizes=_parse_sizes(args.sizes),
+        layouts=_parse_layouts(args.layouts),
+        image_size=parse_size(args.image_size),
+        bytes_per_point=parse_size(args.bytes_per_point),
+        osd_count=args.osds, replica_count=args.replicas,
+        journaled=args.journaled, job=job, flatten=args.flatten,
+        pool_ec=pool_ec, params=params)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -610,9 +603,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.profile:
-        return _run_profiled(args)
-    return args.func(args)
+    try:
+        if args.profile:
+            return _run_profiled(args)
+        return args.func(args)
+    except ReproError as exc:
+        raise _usage_error(args, exc) from None
 
 
 if __name__ == "__main__":

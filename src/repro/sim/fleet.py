@@ -385,6 +385,14 @@ def _check_replayable(streams: Sequence[CompactStream]) -> None:
                 f"(got {float(costs[bad][0])!r})")
 
 
+def _flat_numbers(times) -> bool:
+    """Whether one client's arrival timestamps are a flat run of numbers."""
+    try:
+        return np.asarray(times, dtype=np.float64).ndim == 1
+    except (TypeError, ValueError):
+        return False
+
+
 def _checked_schedule(streams: Sequence[CompactStream],
                       arrivals_us: Sequence[Sequence[float]],
                       ) -> np.ndarray:
@@ -399,14 +407,20 @@ def _checked_schedule(streams: Sequence[CompactStream],
     ops_per_client = np.array([s.num_ops for s in shapes],
                               dtype=np.int64)[shape_of]
     try:
-        sizes = np.fromiter(map(len, arrivals_us), dtype=np.int64,
-                            count=len(streams))
-        schedule = np.asarray(np.concatenate(list(arrivals_us)),
-                              dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        # each client converts on its own (two clients whose dtypes numpy
+        # cannot promote together are still two flat numeric sequences),
+        # so this fails only where some client is not one
+        columns = [np.asarray(times, dtype=np.float64)
+                   for times in arrivals_us]
+        schedule = np.concatenate(columns)
+    except (TypeError, ValueError):
+        client = next(c for c, times in enumerate(arrivals_us)
+                      if not _flat_numbers(times))
         raise ConfigurationError(
-            "arrival timestamps must be one flat numeric sequence per "
-            f"client ({exc})") from None
+            f"client {client}: arrival timestamps must be one flat numeric "
+            "sequence") from None
+    sizes = np.fromiter(map(len, columns), dtype=np.int64,
+                        count=len(columns))
     wrong = np.flatnonzero(sizes != ops_per_client)
     if wrong.size:
         c = int(wrong[0])

@@ -11,7 +11,8 @@ breaking ties, synchronous queue submissions inside an event — is that
 of the per-op closure scheduler this machine replaced in PR 24, call for
 call: any closed-loop replay reproduces that scheduler's elapsed times,
 latencies, queue accounting and spans bit for bit, pinned by the digests
-the scheduler itself wrote (``tests/sim/golden/closed_loop.sha256``).
+the scheduler itself wrote (the ``closed/`` lines of
+``tests/golden/transcript.sha256``).
 On top of that it adds the open-loop mode: operations are *issued at
 exogenous arrival timestamps* instead of being re-armed by completions,
 which is what fleet-scale arrival processes (Poisson, trace-driven) need.

@@ -15,7 +15,10 @@ Two properties the rest of the stack relies on:
   is what keeps the committed ``BENCH_*.json`` baselines stable).
 * **Determinism** — the acceptance RNG is seeded per reservoir, and the
   bulk numpy path consumes the same generator, so identical runs produce
-  identical samples regardless of wall clock or platform.
+  identical samples regardless of wall clock or platform.  Bulk sums are
+  numpy's pairwise ``add.reduce`` (a fixed addition order in numpy's own
+  C loop), never a BLAS dot product: OpenBLAS picks its ``ddot`` kernel
+  by CPU, and the kernels group the additions differently.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ class LatencyReservoir:
                 raise ValueError("weights must match values in shape")
             if weights.size and int(weights.min()) <= 0:
                 raise ValueError("weights must be positive")
-            self.sum_us += float(np.dot(values, weights))
+            self.sum_us += float(np.add.reduce(values * weights))
             counts_end = np.cumsum(weights)
             added = int(counts_end[-1])
         self.max_us = max(self.max_us, float(values.max()))
@@ -180,8 +183,8 @@ class LatencyReservoir:
         the vectorized replay fills its per-client reservoirs: counts,
         extremes and samples of all segments come from a fixed number of
         whole-column numpy calls.  What stays per segment is ``sum_us``
-        — ``extend`` computes it with a BLAS dot product, whose rounding
-        no batched reduction reproduces — and any segment whose
+        — ``extend`` sums the segment's products pairwise, a grouping
+        ``add.reduceat`` does not reproduce — and any segment whose
         population exceeds ``capacity``, which goes through ``extend``
         itself so the acceptance draws are the same.
         """
@@ -213,7 +216,7 @@ class LatencyReservoir:
         keep = np.repeat(fits, sizes)
         kept = np.repeat(values[keep], weights[keep]).tolist()
         kept_end = np.cumsum(np.where(fits, population, 0)).tolist()
-        weights_f = weights.astype(np.float64)
+        products = values * weights
         bounds = offsets.tolist()
         population = population.tolist()
         for rank, i in enumerate(filled.tolist()):
@@ -222,7 +225,7 @@ class LatencyReservoir:
                 stats.extend(values[lo:hi], weights=weights[lo:hi])
                 continue
             stats.count = population[i]
-            stats.sum_us += float(np.dot(values[lo:hi], weights_f[lo:hi]))
+            stats.sum_us += float(np.add.reduce(products[lo:hi]))
             stats.min_us, stats.max_us = low[rank], high[rank]
             stats._sample = kept[kept_end[i] - population[i]:kept_end[i]]
         return out

@@ -11,7 +11,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import RbdError
+from .errors import ConfigurationError, RbdError
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -213,7 +213,8 @@ def covers_block(block_pieces: Sequence[Tuple[int, memoryview]],
 
 
 def parse_size(text: str) -> int:
-    """Parse a human size string (``"4K"``, ``"64M"``, ``"1G"``, ``"512"``)."""
+    """Parse a human size string (``"4K"``, ``"64M"``, ``"1G"``, ``"512"``);
+    anything else is a :class:`ConfigurationError`."""
     value = text.strip().upper()
     multipliers = {"K": KIB, "KB": KIB, "KIB": KIB,
                    "M": MIB, "MB": MIB, "MIB": MIB,
@@ -225,11 +226,14 @@ def parse_size(text: str) -> int:
         if not (ch.isdigit() or ch == "."):
             digits, suffix = value[:i], value[i:]
             break
-    if not digits:
-        raise ValueError(f"cannot parse size {text!r}")
+    try:
+        number = float(digits)          # "" and "1.2.3" fail here
+    except ValueError:
+        raise ConfigurationError(f"cannot parse size {text!r}") from None
     if suffix not in multipliers:
-        raise ValueError(f"unknown size suffix {suffix!r} in {text!r}")
-    return int(float(digits) * multipliers[suffix])
+        raise ConfigurationError(
+            f"unknown size suffix {suffix!r} in {text!r}")
+    return int(number * multipliers[suffix])
 
 
 def format_size(num_bytes: int) -> str:

@@ -16,7 +16,6 @@ from .arrival import (ArrivalProcess, PoissonArrivals, TraceArrivals,
 from .runner import (WorkloadResult, WorkloadRunner, capture_template_stream,
                      prefill_image)
 from .cluster_runner import ClusterWorkloadResult, ClusterWorkloadRunner
-from .stats import mean, percentile, summarize_latencies
 
 __all__ = [
     "IORequest", "WorkloadSpec", "PAPER_IO_SIZES", "generate_requests",
@@ -24,6 +23,5 @@ __all__ = [
     "arrival_process_for", "arrival_schedule",
     "WorkloadResult", "WorkloadRunner", "prefill_image",
     "capture_template_stream",
-    "ClusterWorkloadResult", "ClusterWorkloadRunner", "mean", "percentile",
-    "summarize_latencies",
+    "ClusterWorkloadResult", "ClusterWorkloadRunner",
 ]

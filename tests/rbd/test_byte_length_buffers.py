@@ -29,7 +29,7 @@ from repro.util import MIB, as_readonly_view
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
-from image_transcript import below_caches, build_stacking      # noqa: E402
+from image_corpus import below_caches, build_stacking          # noqa: E402
 
 IMAGE_SIZE = 4 * MIB
 OBJECT_SIZE = 1 * MIB

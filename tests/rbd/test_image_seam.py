@@ -29,8 +29,8 @@ from repro.sim.ledger import OpReceipt
 ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(ROOT / "tools"), str(ROOT)]
 
-from image_transcript import (BLOCK, STACKINGS, TAIL_SCRIPT,      # noqa: E402
-                              build_stacking, make_script, run_script)
+from image_corpus import (BLOCK, STACKINGS, TAIL_SCRIPT,          # noqa: E402
+                          build_stacking, make_script, run_script)
 from perf.trace import _IMAGE_METHODS                             # noqa: E402
 
 SRC = Path(repro.__file__).resolve().parent

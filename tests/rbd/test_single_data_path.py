@@ -26,8 +26,8 @@ from repro.encryption.layouts import LAYOUT_NAMES
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "tools"))
 
-from image_transcript import (BLOCK, IMAGE_SIZE, OBJECT_SIZE,     # noqa: E402
-                              POOLS, STACKINGS, build_stacking, make_cluster)
+from image_corpus import (BLOCK, IMAGE_SIZE, OBJECT_SIZE,         # noqa: E402
+                          POOLS, STACKINGS, build_stacking, make_cluster)
 
 SRC = Path(repro.__file__).resolve().parent
 DISPATCHER = SRC / "rbd/dispatcher.py"

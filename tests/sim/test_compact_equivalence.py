@@ -3,23 +3,19 @@
 * ``compact`` — flattened numpy trace columns replayed through the
   index-based event machine (:mod:`repro.sim.replay`), required to
   reproduce **bit for bit** what the legacy per-op closure scheduler
-  computed on closed loops: that scheduler wrote
-  ``golden/closed_loop.sha256`` at PR 23, one digest per ``closed/``
-  record of ``tools/sim_transcript.py``, and PR 24 deleted it;
+  computed on closed loops: the ``closed/`` lines of
+  ``tests/golden/transcript.sha256`` are that scheduler's digests
+  (``tests/tools/test_transcript.py`` checks them);
 * ``vectorized`` — the open-loop numpy queue scans
   (:mod:`repro.sim.fleet`), required to match the index machine to
   floating-point noise on tie-free workloads.
 
 These tests are the contract that lets the benchmarks run the fast
 paths while the committed baselines stay comparable to the seed.
-Regenerate the digests after an intentional model change with::
-
-    REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/sim/test_compact_equivalence.py
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
@@ -35,12 +31,9 @@ from repro.sim.scheduler import (ServiceQueue, simulate_client_ops,
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
-from sim_transcript import (CLOSED_FLEETS, closed_records, record_digests,
-                            mixed_streams as _mixed_streams,
-                            read_op as _read, rmw_op as _rmw,
-                            write_op as _write, zero_visit_op as _zero_visit)
-
-GOLDEN = Path(__file__).parent / "golden" / "closed_loop.sha256"
+from sim_corpus import (mixed_streams as _mixed_streams,          # noqa: E402
+                        read_op as _read, rmw_op as _rmw,
+                        write_op as _write, zero_visit_op as _zero_visit)
 
 
 def _params(**overrides) -> CostParameters:
@@ -72,21 +65,6 @@ def _arrivals(streams, gap_us=70.0):
     return [[(op + 1) * gap_us + 3.7 * client + 0.41 * op
              for op in range(len(stream))]
             for client, stream in enumerate(streams)]
-
-
-class TestClosedLoopEquivalence:
-    def test_compact_reproduces_the_legacy_digests(self):
-        digests = dict(record_digests(closed_records(CLOSED_FLEETS)))
-        if os.environ.get("REPRO_UPDATE_GOLDEN"):
-            GOLDEN.write_text("".join(f"{name} {digest}\n" for name, digest
-                                      in digests.items()))
-        golden = dict(line.split() for line in GOLDEN.read_text().splitlines())
-        moved = sorted(name for name in digests.keys() | golden.keys()
-                       if digests.get(name) != golden.get(name))
-        assert not moved, (
-            f"closed-loop records drifted from {GOLDEN.name}: {moved}; "
-            f"tools/sim_transcript.py prints them for a diff; if the model "
-            f"change is intentional rerun with REPRO_UPDATE_GOLDEN=1")
 
 
 class TestOpenLoopEquivalence:

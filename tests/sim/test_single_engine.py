@@ -4,7 +4,8 @@ The closed loop runs on one machine — the index machine of
 ``repro.sim.replay`` — and the vectorized scans of ``repro.sim.fleet`` are
 its open-loop fast path.  The legacy closure scheduler (``ClusterScheduler``
 on ``EventLoop``) went in PR 24 with every switch that chose between the
-two; what it computed is ``golden/closed_loop.sha256``.  These checks fail
+two; what it computed is the ``closed/`` lines of
+``tests/golden/transcript.sha256``.  These checks fail
 when a second engine, a second span emitter, a second copy of the
 bounding-resource rule or a way to select between engines comes back.
 

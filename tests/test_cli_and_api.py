@@ -5,7 +5,7 @@ import pytest
 from repro import api
 from repro.analysis import overhead
 from repro.cli import build_parser, main
-from repro.errors import ImageExistsError
+from repro.errors import ConfigurationError, ImageExistsError
 from repro.util import (MIB, ceil_div, constant_time_compare, contiguous_runs,
                         covers_block, format_size, hexdump, is_power_of_two,
                         parse_size, round_down, round_up, split_block_pieces,
@@ -25,6 +25,23 @@ BAD_SWEEPS = {
     "ec-too-wide": ["--pool-ec", "4,2", "--osds", "3"],
     "ec-malformed": ["--pool-ec", "4"],
     "arrival-rate-negative": ["--arrival-rate", "-5"],
+}
+
+#: malformed arguments that surface as a ReproError once the command runs
+BAD_ARGUMENTS = {
+    "sweep-sizes": ["sweep", "--sizes", "4Q"],
+    "sweep-image-size": ["sweep", "--image-size", "3X"],
+    "sweep-layouts": ["sweep", "--sizes", "16K", "--layouts", "bogus"],
+    "fleet-io-size": ["fleet", "--io-size", "4Q"],
+    "fleet-layout": ["fleet", "--layout", "bogus"],
+    "sectors-sizes": ["sectors", "--sizes", "1Q"],
+    "sectors-block-size": ["sectors", "--block-size", "0"],
+    "demo-layout": ["demo", "--layout", "bogus"],
+    "failure-drill-image-size": ["failure-drill", "--image-size", "1Z",
+                                 "--fault-seed", "1"],
+    "failure-drill-ec-stage": ["failure-drill", "--pool-ec", "4,2",
+                               "--fault-stage", "kill-primary-mid-txn",
+                               "--fault-seed", "1"],
 }
 
 
@@ -199,6 +216,18 @@ class TestCli:
         assert isinstance(message, str), message
         assert message.startswith("repro sweep: ") and "\n" not in message
 
+    @pytest.mark.parametrize("argv", list(BAD_ARGUMENTS.values()),
+                             ids=list(BAD_ARGUMENTS))
+    def test_malformed_arguments_exit_with_one_line(self, argv):
+        """Each of these ended in a traceback.  A ``SystemExit`` carrying a
+        string exits with status 1 and prints that line alone."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        message = exit_info.value.code
+        assert isinstance(message, str), message
+        assert message.startswith(f"repro {argv[0]}: "), message
+        assert "\n" not in message and "Traceback" not in message
+
 
 class TestApiHelpers:
     def test_make_cluster_shapes(self):
@@ -213,6 +242,8 @@ class TestApiHelpers:
         assert image.size == 8 * MIB
         assert image.object_size == 1 * MIB
         assert info.layout == "object-end"
+        with pytest.raises(ConfigurationError, match="'X'"):
+            api.create_encrypted_image(cluster, "bad-size", "3X", b"pw")
 
     def test_create_plain_image(self, cluster):
         image = api.create_plain_image(cluster, "plain", 8 * MIB)
@@ -342,8 +373,9 @@ class TestUtil:
         assert parse_size("4K") == 4096
         assert parse_size("2MiB") == 2 * MIB
         assert parse_size("512") == 512
-        with pytest.raises(ValueError):
-            parse_size("12Q")
+        for bad in ("12Q", "", "1.2.3K"):
+            with pytest.raises(ConfigurationError):
+                parse_size(bad)
         assert format_size(4096) == "4.0KiB"
         assert format_size(10) == "10B"
 

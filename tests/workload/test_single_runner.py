@@ -38,7 +38,7 @@ from repro.workload.spec import WorkloadSpec
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "tools"))
 
-from sim_transcript import runner_records                       # noqa: E402
+from sim_corpus import runner_records                           # noqa: E402
 
 SRC = Path(repro.__file__).resolve().parent
 WORKLOAD = SRC / "workload"

@@ -8,9 +8,7 @@ from repro.errors import WorkloadError
 from repro.workload.generator import generate_request_list, generate_requests
 from repro.workload.runner import WorkloadRunner, prefill_image
 from repro.workload.spec import PAPER_IO_SIZES, WorkloadSpec
-from repro.workload.stats import (coefficient_of_variation, mean, percentile,
-                                  relative_change, summarize_latencies)
-from repro.util import KIB, MIB
+from repro.util import KIB, MIB, percentile
 
 
 class TestSpec:
@@ -93,26 +91,12 @@ class TestGenerator:
 
 
 class TestStats:
-    def test_mean_and_percentile(self):
-        assert mean([1, 2, 3, 4]) == 2.5
-        assert mean([]) == 0.0
+    def test_percentile(self):
         assert percentile([1, 2, 3, 4, 5], 50) == 3
         assert percentile([], 99) == 0.0
         assert percentile([10], 100) == 10
         with pytest.raises(ValueError):
             percentile([1], 120)
-
-    def test_summary(self):
-        summary = summarize_latencies([1, 2, 3, 4, 100])
-        assert summary["max"] == 100
-        assert summary["mean"] == 22
-        assert summary["p50"] == 3
-
-    def test_cv_and_relative_change(self):
-        assert coefficient_of_variation([5, 5, 5]) == 0.0
-        assert coefficient_of_variation([]) == 0.0
-        assert relative_change(110, 100) == pytest.approx(0.10)
-        assert relative_change(5, 0) == 0.0
 
 
 class TestRunner:

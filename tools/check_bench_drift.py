@@ -1,26 +1,25 @@
 #!/usr/bin/env python3
 """Gate benchmark results against the committed baselines.
 
-Extracted from the inline CI step so the floor-vs-drift semantics are
-importable and unit-testable (``tests/tools/test_check_bench_drift.py``).
+Extracted from the inline CI step so the gate semantics are importable
+and unit-testable (``tests/tools/test_check_bench_drift.py``).
 
 Two kinds of numeric ``extra_info`` metrics, two gates:
 
 * ``speedup_*`` keys are measured timing ratios.  They are gated as a
-  **floor**, not a drift band: fail only when the advantage falls below
-  the asserted 5x minimum or halves versus the committed baseline
-  (robust to runner noise -- a speedup growing is never a failure).
+  **floor**: fail only when the advantage falls below the asserted 5x
+  minimum or halves versus the committed baseline (robust to runner
+  noise -- a speedup growing is never a failure).
 * Every other numeric key is a deterministic model output (counters,
-  modelled latencies) and must stay within **+-10% drift** of the
-  baseline.
+  modelled latencies, rounded where the benchmark records it) and must
+  **equal** its baseline.
 
-Non-numeric values are ignored.  A benchmark or metric disappearing is
-always a failure: renames must update the committed baseline.
+Non-numeric values are ignored (wall-clock readings are recorded as
+strings).  A benchmark or metric disappearing is always a failure:
+renames must update the committed baseline.
 
-The band hides small moves, so the last line printed is a summary: how
-many model outputs are bit-equal to their baselines and, by name with
-baseline -> now, which moved inside the band.  A PR that claims "one
-number moved" is checked against that line.
+The last line printed is a summary: how many model outputs equal their
+baselines and, by name with baseline -> now, every one that moved.
 
 Usage::
 
@@ -35,8 +34,6 @@ import json
 import sys
 from typing import Dict, Iterable, List, Tuple
 
-#: drift tolerance for deterministic model metrics
-DRIFT_TOLERANCE = 0.10
 #: asserted minimum for measured ``speedup_*`` ratios
 SPEEDUP_FLOOR = 5.0
 
@@ -55,36 +52,11 @@ def speedup_floor(baseline_value: float) -> float:
     return max(SPEEDUP_FLOOR, baseline_value / 2)
 
 
-def relative_drift(baseline_value: float, current_value: float) -> float:
-    """Symmetric relative drift; a zero baseline only matches zero."""
-    if baseline_value:
-        return abs(current_value - baseline_value) / abs(baseline_value)
-    return 1.0 if current_value else 0.0
-
-
 def load_extra_info(path: str) -> Dict[str, Dict[str, object]]:
     """Map benchmark name -> extra_info from a pytest-benchmark JSON file."""
     with open(path) as handle:
         data = json.load(handle)
     return {b["name"]: b["extra_info"] for b in data["benchmarks"]}
-
-
-def compare_metric(name: str, key: str, baseline_value: float,
-                   current_value: float, log: List[str]) -> None:
-    """Gate one numeric metric; raises :class:`DriftError` on failure."""
-    if key.startswith("speedup_"):
-        floor = speedup_floor(baseline_value)
-        log.append(f"{name}:{key}: baseline {baseline_value} now "
-                   f"{current_value} (floor {floor})")
-        if current_value < floor:
-            raise DriftError(
-                f"{name}:{key} fell to {current_value} (< {floor})")
-        return
-    drift = relative_drift(baseline_value, current_value)
-    log.append(f"{name}:{key}: baseline {baseline_value} now "
-               f"{current_value} (drift {drift:.1%})")
-    if drift >= DRIFT_TOLERANCE:
-        raise DriftError(f"{name}:{key} drifted {drift:.1%}")
 
 
 #: one model output: its ``benchmark:key`` label, baseline value, value now
@@ -94,8 +66,12 @@ Modelled = Tuple[str, float, float]
 def compare_baseline(baseline: Dict[str, Dict[str, object]],
                      current: Dict[str, Dict[str, object]],
                      log: List[str]) -> List[Modelled]:
-    """Gate every numeric metric of one baseline file against ``current``;
-    returns the model outputs compared (measured speedups are not)."""
+    """Check every numeric metric of one baseline file against
+    ``current``; returns the model outputs to compare for equality.
+
+    Raises :class:`DriftError` for a missing benchmark or metric and for
+    a measured speedup below its floor.
+    """
     modelled: List[Modelled] = []
     for name, info in baseline.items():
         now = current.get(name)
@@ -106,21 +82,29 @@ def compare_baseline(baseline: Dict[str, Dict[str, object]],
                 continue
             if key not in now:
                 raise DriftError(f"{name}: metric {key} disappeared")
-            compare_metric(name, key, value, now[key], log)
+            log.append(f"{name}:{key}: baseline {value} now {now[key]}")
             if not key.startswith("speedup_"):
                 modelled.append((f"{name}:{key}", value, now[key]))
+            elif now[key] < speedup_floor(value):
+                raise DriftError(f"{name}:{key} fell to {now[key]} "
+                                 f"(< {speedup_floor(value)})")
     return modelled
 
 
+def moved_values(modelled: List[Modelled]) -> List[str]:
+    """``label baseline -> now`` for every model output that moved."""
+    return [f"{label} {before} -> {now}"
+            for label, before, now in modelled if before != now]
+
+
 def drift_summary(modelled: List[Modelled]) -> str:
-    """One line: how many model outputs are bit-equal to their baselines
-    and which moved inside the band (baseline -> now)."""
-    moved = [f"{label} {before} -> {now}"
-             for label, before, now in modelled if before != now]
+    """One line: how many model outputs equal their baselines, and every
+    one that moved (baseline -> now)."""
+    moved = moved_values(modelled)
     line = (f"summary: {len(modelled) - len(moved)} of {len(modelled)} "
-            f"modelled values bit-equal to their baselines, {len(moved)} "
-            f"moved inside the +-{DRIFT_TOLERANCE:.0%} band")
-    return line + (": " + "; ".join(moved) if moved else "")
+            f"modelled values equal to their baselines")
+    return line + (f", {len(moved)} moved: " + "; ".join(moved)
+                   if moved else "")
 
 
 def main(argv: Iterable[str] = None) -> int:
@@ -137,12 +121,15 @@ def main(argv: Iterable[str] = None) -> int:
         for baseline_file in args.baselines:
             modelled += compare_baseline(load_extra_info(baseline_file),
                                          current, log)
-            log.append(f"{baseline_file}: benchmark trajectory OK")
     except DriftError as exc:
         print("\n".join(log))
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     print("\n".join(log + [drift_summary(modelled)]))
+    if moved_values(modelled):
+        print("FAIL: modelled values moved from their baselines",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,21 +1,10 @@
-#!/usr/bin/env python3
-"""Full-precision transcript of one op script over every image stacking.
+"""The image-stack records of ``tools/transcript.py``: one op script over
+every image stacking.
 
 The data path promises the *same modelled numbers* across refactors —
 receipts, ledger counters, resource busy times, event-engine op traces,
-ciphertext — and every PR that moved code between ``rbd.Image`` and the
-front-ends stacked on it rebuilt the same proof by hand: drive the parent
-tree and the changed tree with the same ops, print everything with
-``repr`` and compare.  This tool is that proof, kept::
-
-    git archive <parent-sha> | tar -x -C /root/scratch/parent
-    python tools/image_transcript.py --src /root/scratch/parent/src --out parent.txt
-    python tools/image_transcript.py --out change.txt
-    cmp parent.txt change.txt
-
-``--src`` names the ``src/`` directory whose ``repro`` package is driven
-(default: the one next to this file), so one copy of the tool exercises
-both trees.  The corpus, all of it derived from fixed seeds:
+ciphertext.  Each record prints them with ``repr``; the corpus, all of it
+derived from fixed seeds:
 
 * ``stack/<stacking>/<layout>/<pool>/<driver>`` — a seeded script
   (unaligned writes, reads, block-aligned discards, flushes, a snapshot,
@@ -37,20 +26,17 @@ Every record lists each op's ``(latency_us, bytes_moved)`` and a digest of
 each read, then the ledger (counters and resource busy times in insertion
 order, every sealed ``ClientOpTrace``), the front-end's and the pipeline's
 ``stats``, and digests of the image through the stack, below the caching
-front-ends, and of every stored object — all in ``repr``.  Two runs on one
-tree are byte-identical (``tests/tools/test_image_transcript.py``; CI
-``bench-smoke``).
+front-ends, and of every stored object — all in ``repr``.
 """
 
 from __future__ import annotations
 
-import argparse
 import array
 import hashlib
 import random
-import sys
-from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from transcript import Record, error_text
 
 KIB = 1024
 BLOCK = 4 * KIB
@@ -75,8 +61,6 @@ SCRIPT_OPS = 36
 
 #: one step of a script: its verb and arguments
 Op = Tuple
-#: a record: its name and a thunk returning its lines
-Record = Tuple[str, Callable[[], List[str]]]
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +144,8 @@ def below_caches(image):
 def make_script(seed: str, count: int = SCRIPT_OPS) -> List[Op]:
     """The seeded op list a ``stack/`` record runs.
 
-    Discards are block-aligned (trees before PR 20 zeroed every block a
-    discard touched, and the script must mean the same on both trees of a
+    Discards are block-aligned (older trees zeroed every block a discard
+    touched, and the script must mean the same on both trees of a
     comparison; ``tests/rbd/test_single_data_path.py`` issues the
     unaligned ones) and nothing reads past the current size; otherwise
     offsets and lengths are arbitrary.  ``invalidate`` drops a cache's (clean)
@@ -285,15 +269,11 @@ def _digest(data) -> str:
     return f"{len(data)}:{hashlib.sha256(data).hexdigest()[:20]}"
 
 
-def _error(exc: Exception) -> str:
-    return f"error={type(exc).__name__}: {exc}"
-
-
 def _op_line(op: Op, outcome) -> str:
     shown = tuple(_digest(arg) if isinstance(arg, (bytes, bytearray)) else arg
                   for arg in op)
     if isinstance(outcome, Exception):
-        return f"{shown!r} -> {_error(outcome)}"
+        return f"{shown!r} -> {error_text(outcome)}"
     if isinstance(outcome, (bytes, bytearray)):
         return f"{shown!r} -> data={_digest(outcome)}"
     return f"{shown!r} -> {outcome!r}"
@@ -326,18 +306,8 @@ def state_lines(image, pipeline=None) -> List[str]:
     return lines
 
 
-def write_transcript(out, records: Iterator[Record]) -> int:
-    """Run every record and write its lines; returns the record count."""
-    count = 0
-    for name, thunk in records:
-        out.write(f"== {name} ==\n")
-        try:
-            lines = thunk()
-        except Exception as exc:        # the outcome *is* the record
-            lines = [_error(exc)]
-        out.writelines(line + "\n" for line in lines)
-        count += 1
-    return count
+def _text(lines: List[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +321,13 @@ def stack_records(stacking: str, layout: str, pool: str, driver: str,
 
     held: List = []         # (image, pipeline) handed from record to tail
 
-    def drive(ops: Sequence[Op]) -> List[str]:
+    def drive(ops: Sequence[Op]) -> str:
         image, pipeline = held[0]
         lines = [_op_line(op, outcome)
                  for op, outcome in run_script(image, ops, pipeline)]
-        return lines + state_lines(image, pipeline)
+        return _text(lines + state_lines(image, pipeline))
 
-    def main() -> List[str]:
+    def main() -> str:
         image, _content = build_stacking(make_cluster(pool), stacking,
                                          layout, pool)
         held.append((image, api.make_pipeline(image, queue_depth=8)
@@ -394,9 +364,9 @@ def wide_records(stacking: str) -> Iterator[Record]:
         try:
             return repr(call(*args))
         except Exception as exc:        # the outcome *is* the record
-            return _error(exc)
+            return error_text(exc)
 
-    def case(offset: int, refused: bool) -> List[str]:
+    def case(offset: int, refused: bool) -> str:
         lines: List[str] = []
         for name, writer in writers.items():
             image, _content = build_stacking(make_cluster("rbd"), stacking)
@@ -417,7 +387,7 @@ def wide_records(stacking: str) -> Iterator[Record]:
                                  + attempt(lambda: _cost(image.flush())))
             stored = below_caches(image)
             lines.append(f"cluster={_digest(stored.read(0, stored.size))}")
-        return lines
+        return _text(lines)
 
     yield (f"wide/{stacking}/in-bounds",
            lambda: case(OBJECT_SIZE - BLOCK, refused=False))
@@ -425,40 +395,15 @@ def wide_records(stacking: str) -> Iterator[Record]:
            lambda: case(IMAGE_SIZE - BLOCK, refused=True))
 
 
-def corpus(stackings: Sequence[str] = STACKINGS,
-           layouts: Sequence[str] = LAYOUTS,
-           pools: Sequence[str] = tuple(POOLS),
-           drivers: Sequence[str] = DRIVERS,
-           script_ops: int = SCRIPT_OPS) -> Iterator[Record]:
-    for stacking in stackings:
-        for layout in layouts:
-            for pool in pools:
-                for driver in drivers:
+def records() -> Iterator[Record]:
+    for stacking in STACKINGS:
+        for layout in LAYOUTS:
+            for pool in POOLS:
+                for driver in DRIVERS:
                     # One script per (layout, pool, driver): every stacking
                     # runs the same ops, so their records compare too.
-                    script = make_script(f"{layout}/{pool}/{driver}",
-                                         script_ops)
+                    script = make_script(f"{layout}/{pool}/{driver}")
                     yield from stack_records(stacking, layout, pool, driver,
                                              script)
-    for stacking in stackings:
+    for stacking in STACKINGS:
         yield from wide_records(stacking)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, metavar="FILE")
-    parser.add_argument("--src", metavar="DIR",
-                        default=str(Path(__file__).resolve().parents[1]
-                                    / "src"),
-                        help="src/ directory of the tree to drive "
-                             "(default: this checkout's)")
-    args = parser.parse_args(argv)
-    sys.path.insert(0, args.src)
-    with open(args.out, "w", encoding="utf-8") as out:
-        count = write_transcript(out, corpus())
-    print(f"{count} records -> {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

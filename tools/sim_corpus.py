@@ -1,22 +1,9 @@
-#!/usr/bin/env python3
-"""Full-precision transcript of ``simulate_fleet`` and the workload runner
-over a seeded corpus.
+"""The simulator records of ``tools/transcript.py``: ``simulate_fleet``,
+the closed loop and the workload runner over a seeded corpus.
 
 The fleet engines and the workload runner promise *bit-identical* modelled
-numbers across refactors, and every PR that touched them rebuilt the same
-proof by hand:
-drive the parent tree and the changed tree with the same inputs, print
-every result field with ``repr`` and compare.  This tool is that proof,
-kept::
-
-    git archive <parent-sha> | tar -x -C /root/scratch/parent
-    python tools/sim_transcript.py --src /root/scratch/parent/src --out parent.txt
-    python tools/sim_transcript.py --out change.txt
-    cmp parent.txt change.txt
-
-``--src`` names the ``src/`` directory whose ``repro`` package is driven
-(default: the one next to this file), so one copy of the tool exercises
-both trees.  The corpus, all of it derived from fixed seeds:
+numbers across refactors.  Each record prints every result field with
+``repr``; the corpus, all of it derived from fixed seeds:
 
 * ``bench/...`` — the ``fleet_replay`` benchmark shape (a 4 KiB write and
   a read template captured on the real data path, tiled to 1,000 rotated
@@ -46,9 +33,9 @@ both trees.  The corpus, all of it derived from fixed seeds:
   3-16 OSDs, read-modify-write chains, zero-cost and zero-visit ops,
   ``requests`` > 1, empty clients, depths 1/2/3/8/32, ``osd_shards``
   1/2/4 — each untraced and traced (the traced record appends the spans
-  sorted by ``span_sort_key``).  These records leave ``engine`` out:
-  their sha256 digests, written by the legacy scheduler before PR 24
-  deleted it, are ``tests/sim/golden/closed_loop.sha256``;
+  sorted by ``span_sort_key``).  These records leave ``engine`` out: the
+  legacy scheduler wrote their digests before it was deleted, and the
+  index machine reproduces them;
 * ``runner/...`` — the workload runner's three entry points on fresh
   clusters: ``WorkloadRunner.run`` (``run``) and
   ``ClusterWorkloadRunner.run`` on one image and on three (``x1``,
@@ -63,27 +50,22 @@ both trees.  The corpus, all of it derived from fixed seeds:
 Every fleet record lists each ``EventSimResult`` field, the two run-wide
 reservoirs and every per-client reservoir (``capacity``, ``count``,
 ``sum_us``, ``min_us``, ``max_us`` and the retained sample), all in
-``repr``.  Dicts print in insertion order.  Two runs on one tree are
-byte-identical (``tests/tools/test_sim_transcript.py``; CI
-``bench-smoke``).
+``repr``.  Dicts print in insertion order.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import random
-import sys
-import warnings
 from dataclasses import replace
 from itertools import product
-from pathlib import Path
-from typing import Callable, Iterator, List, Sequence, TextIO, Tuple
+from typing import Iterator, List, Sequence
+
+from transcript import Record
 
 MIB = 1 << 20
 BLOCK = 4096
 
-#: the corpus the command line writes (the test passes a smaller one)
+#: the corpus :func:`records` yields (tests pass smaller ones to the groups)
 SEEDS = (1, 2, 3)
 CLIENTS, OPS_PER_CLIENT = 1000, 50
 RANDOM_FLEETS, MAX_CLIENTS = 120, 200
@@ -91,10 +73,6 @@ TIE_FLEETS = 8
 CLOSED_FLEETS = 64
 RUNNER_LAYOUTS = ("luks-baseline", "object-end")
 RUNNER_PATTERNS = ("randwrite", "randrw")
-
-#: a record: its name and a thunk returning the EventSimResult (or, for
-#: the runner and closed-loop groups, the record's text)
-Record = Tuple[str, Callable[[], object]]
 
 #: the scalar fields a fleet record prints, ahead of the reservoirs
 RESULT_FIELDS = ("engine", "elapsed_us", "requests", "events_processed",
@@ -120,32 +98,10 @@ def _result_text(result, fields: Sequence[str] = RESULT_FIELDS) -> str:
     return "\n".join(lines) + "\n"
 
 
-def record_text(thunk: Callable[[], object]) -> str:
-    """Run one record; its outcome (or the exception it raised) as text."""
-    try:
-        with warnings.catch_warnings():
-            # invalid inputs make numpy warn on trees that accept them
-            warnings.simplefilter("ignore")
-            result = thunk()
-    except Exception as exc:    # the outcome *is* the record
-        return f"error={type(exc).__name__}: {exc}\n"
-    return result if isinstance(result, str) else _result_text(result)
+def _fleet_text(params, streams, arrivals) -> str:
+    from repro.sim.fleet import simulate_fleet
 
-
-def write_transcript(out: TextIO, records: Iterator[Record]) -> int:
-    """Run every record and write its outcome; returns the record count."""
-    count = 0
-    for name, thunk in records:
-        out.write(f"== {name} ==\n{record_text(thunk)}")
-        count += 1
-    return count
-
-
-def record_digests(records: Iterator[Record]) -> Iterator[Tuple[str, str]]:
-    """``(name, sha256 of the record's text)``: one golden line per record
-    (``tests/sim/golden/closed_loop.sha256``)."""
-    for name, thunk in records:
-        yield name, hashlib.sha256(record_text(thunk).encode()).hexdigest()
+    return _result_text(simulate_fleet(params, streams, arrivals))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +113,7 @@ def bench_records(seeds: Sequence[int], clients: int,
     from repro import api
     from repro.sim.compact import encode_stream
     from repro.sim.costparams import default_cost_parameters
-    from repro.sim.fleet import fleet_streams_from_template, simulate_fleet
+    from repro.sim.fleet import fleet_streams_from_template
     from repro.workload.arrival import PoissonArrivals, arrival_schedule
     from repro.workload.runner import capture_template_stream
     from repro.workload.spec import WorkloadSpec
@@ -186,8 +142,7 @@ def bench_records(seeds: Sequence[int], clients: int,
                 PoissonArrivals(rate_per_client=200.0, seed=seed),
                 [stream.num_ops for stream in streams])
             yield (f"bench/seed{seed}/{kind}",
-                   lambda p=params, s=streams, a=arrivals:
-                   simulate_fleet(p, s, a))
+                   lambda p=params, s=streams, a=arrivals: _fleet_text(p, s, a))
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +236,10 @@ def _random_fleet(index: int, max_clients: int):
     return params, streams, arrivals
 
 
-def random_records(count: int, max_clients: int) -> Iterator[Record]:
-    from repro.sim.fleet import simulate_fleet
-
-    for index in range(count):
+def random_records() -> Iterator[Record]:
+    for index in range(RANDOM_FLEETS):
         yield (f"random/{index:03d}",
-               lambda i=index: simulate_fleet(*_random_fleet(i, max_clients)))
+               lambda i=index: _fleet_text(*_random_fleet(i, MAX_CLIENTS)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +292,9 @@ def _tie_fleet(index: int, max_clients: int):
 
 
 def tie_records(count: int, max_clients: int) -> Iterator[Record]:
-    from repro.sim.fleet import simulate_fleet
-
     for index in range(count):
         yield (f"ties/{index:02d}",
-               lambda i=index: simulate_fleet(*_tie_fleet(i, max_clients)))
+               lambda i=index: _fleet_text(*_tie_fleet(i, max_clients)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +310,6 @@ def invalid_records() -> Iterator[Record]:
     import numpy as np
 
     from repro.sim.costparams import CostParameters
-    from repro.sim.fleet import simulate_fleet
     from repro.sim.ledger import ClientOpTrace, OpTrace, OsdVisit
 
     params = CostParameters(sim_mode="events", osd_count=4, replica_count=3)
@@ -399,7 +349,7 @@ def invalid_records() -> Iterator[Record]:
                           [times, times, times]))
     for name, streams, arrivals in cases:
         yield (f"invalid/{name}",
-               lambda s=streams, a=arrivals: simulate_fleet(params, s, a))
+               lambda s=streams, a=arrivals: _fleet_text(params, s, a))
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +451,14 @@ def _run_closed(params, streams, queue_depth: int, traced: bool) -> str:
     tracer = SpanTracer() if traced else None
     result = simulate_client_ops(params, streams, queue_depth, tracer=tracer)
     # every field but the engine's name: the legacy scheduler wrote these
-    # records' digests at PR 23 and the index machine has to reproduce them
+    # records' digests and the index machine has to reproduce them
     text = _result_text(result, RESULT_FIELDS[1:])
     if traced:
         text += f"spans={sorted(tracer.spans, key=span_sort_key)!r}\n"
     return text
 
 
-def closed_records(count: int) -> Iterator[Record]:
+def closed_records() -> Iterator[Record]:
     from repro.sim.costparams import CostParameters
 
     def historical(osd_shards: int = 1) -> "CostParameters":
@@ -521,7 +471,7 @@ def closed_records(count: int) -> Iterator[Record]:
     cases.append(("mixed-2x8/qd4-osdshards2",
                   lambda: (historical(2), mixed_streams(2, 8), 4)))
     cases.extend((f"random/{index:03d}", lambda i=index: _closed_fleet(i))
-                 for index in range(count))
+                 for index in range(CLOSED_FLEETS))
     for name, build in cases:
         for traced in (False, True):
             yield (f"closed/{name}/{'traced' if traced else 'untraced'}",
@@ -613,42 +563,10 @@ def runner_records(layouts: Sequence[str],
                    lambda l=layout, p=pattern: _capture(l, p))
 
 
-# ---------------------------------------------------------------------------
-# command line
-# ---------------------------------------------------------------------------
-
-def corpus(seeds: Sequence[int] = SEEDS, clients: int = CLIENTS,
-           ops_per_client: int = OPS_PER_CLIENT,
-           random_fleets: int = RANDOM_FLEETS,
-           max_clients: int = MAX_CLIENTS,
-           tie_fleets: int = TIE_FLEETS,
-           closed_fleets: int = CLOSED_FLEETS,
-           runner_layouts: Sequence[str] = RUNNER_LAYOUTS,
-           runner_patterns: Sequence[str] = RUNNER_PATTERNS
-           ) -> Iterator[Record]:
-    yield from bench_records(seeds, clients, ops_per_client)
-    yield from random_records(random_fleets, max_clients)
-    yield from tie_records(tie_fleets, max_clients)
+def records() -> Iterator[Record]:
+    yield from bench_records(SEEDS, CLIENTS, OPS_PER_CLIENT)
+    yield from random_records()
+    yield from tie_records(TIE_FLEETS, MAX_CLIENTS)
     yield from invalid_records()
-    yield from closed_records(closed_fleets)
-    yield from runner_records(runner_layouts, runner_patterns)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, metavar="FILE")
-    parser.add_argument("--src", metavar="DIR",
-                        default=str(Path(__file__).resolve().parents[1]
-                                    / "src"),
-                        help="src/ directory of the tree to drive "
-                             "(default: this checkout's)")
-    args = parser.parse_args(argv)
-    sys.path.insert(0, args.src)
-    with open(args.out, "w", encoding="utf-8") as out:
-        count = write_transcript(out, corpus())
-    print(f"{count} records -> {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    yield from closed_records()
+    yield from runner_records(RUNNER_LAYOUTS, RUNNER_PATTERNS)
