@@ -14,11 +14,11 @@ runs (1,000 clients, millions of requests) need on top of it:
   columns are read through tables of the fleet's distinct arrays and
   the private client stations run as one matrix per distinct row width,
   so nothing but attribute reads happens per client.  Sorting is done
-  on the keys that decide: issue order is a stable sort on the arrival
-  column (input position is the tie-break), the primaries are put in
-  backend-network order once and their replicas inherit it, and the OSD
-  queues are a stable time sort, a radix pass on the OSD id and a
-  repair of the tied runs (:func:`_time_order`).
+  on the keys that decide, and tie-breaks are read only where times
+  tie: the primaries are put in backend-network order once (numpy's
+  default sort) and their replicas inherit it, the OSD queues are a
+  stable time sort and a radix pass on the OSD id, and both repair
+  their tied runs by issue order (:func:`_time_order`).
 * **Fleet synthesis** — :func:`fleet_streams_from_template` tiles one
   captured stream (real data path, real crypto and placement costs)
   out to an arbitrary client count with rotated OSD placement, without
@@ -85,16 +85,20 @@ def _group_arange(counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
 
 
-def _time_order(times: np.ndarray, rank: np.ndarray, vrank: np.ndarray,
-                queue: Optional[np.ndarray] = None) -> np.ndarray:
-    """Exactly ``np.lexsort((vrank, rank, times[, queue]))``.
+def _time_order(order: np.ndarray, times: np.ndarray, op: np.ndarray,
+                issue_us: np.ndarray, queue: Optional[np.ndarray] = None,
+                ) -> np.ndarray:
+    """Exactly ``np.lexsort((position, op, issue_us[op], times[, queue]))``.
 
-    A stable sort on ``times``, then a stable sort on ``queue`` over it;
-    ``rank`` and ``vrank`` are read only for elements that tie on both,
-    all tied runs in one ``lexsort`` keyed by run.  ``times`` holds no NaN
-    (:func:`_check_replayable`): NaN is a tie ``==`` cannot see.
+    ``order`` is any permutation that sorts ``times`` (equal times in any
+    order): each caller runs the sort that is fastest on its input.  A
+    stable radix pass on ``queue`` goes over it, then every run equal on
+    (queue, time) is put in issue order — the op's arrival, the op, input
+    position — all runs in one ``lexsort`` keyed by run.  ``op`` and
+    ``issue_us`` are read for the tied elements only.  ``order`` is
+    repaired in place.  ``times`` holds no NaN (:func:`_check_replayable`):
+    NaN is a tie ``==`` cannot see.
     """
-    order = np.argsort(times, kind="stable")
     if queue is not None:
         ids = queue[order]
         if ids.size and -2**15 <= ids.min() and ids.max() < 2**15:
@@ -109,8 +113,9 @@ def _time_order(times: np.ndarray, rank: np.ndarray, vrank: np.ndarray,
         after = np.concatenate(([False], tied))
         runs = np.flatnonzero(after | np.concatenate((tied, [False])))
         members = order[runs]
+        tied_op = op[members]
         order[runs] = members[np.lexsort(
-            (vrank[members], rank[members], np.cumsum(~after[runs])))]
+            (members, tied_op, issue_us[tied_op], np.cumsum(~after[runs])))]
     return order
 
 
@@ -123,7 +128,8 @@ def _column_reader(streams: Sequence[CompactStream], name: str,
 
 
 def _vectorized_open_loop(params: CostParameters,
-                          streams: Sequence[CompactStream],
+                          shapes: Sequence[CompactStream],
+                          shape_of: np.ndarray,
                           schedule_us: np.ndarray) -> EventSimResult:
     """Open-loop replay as sorted queue scans (see module docstring).
 
@@ -135,12 +141,16 @@ def _vectorized_open_loop(params: CostParameters,
     with distinct event timestamps (ties break by deterministic issue
     order here and by event sequence numbers there).
 
-    What orders what: ``g_rank`` is a stable sort on arrival (columns
-    are in (client, op) order, so position breaks ties); the primaries
-    are put in (arrival, rank) order once, so the replicas repeated from
-    them are born in the backend network's FIFO order; the OSD queues
-    go through :func:`_time_order`.  Every sum still adds the same values
-    in the same order as a full multi-key sort would leave them in.
+    What orders what: issue order is (arrival, client, op), and as the
+    columns are in (client, op) order that is (arrival, fleet-wide op
+    index) — no sort computes it, :func:`_time_order` reads it for
+    elements whose times tie.  The primaries are put in (arrival, issue)
+    order once, so the replicas repeated from them are born in the
+    backend network's FIFO order.  An OSD queue is (OSD, arrival, issue,
+    visit rank); input position is the visit rank, since the primaries
+    come first and each op's replicas follow in visit order.  Every sum
+    still adds the same values in the same order as a full multi-key
+    sort would leave them in.
 
     Nothing below loops over clients.  Columns are read through tables
     of the fleet's *distinct* arrays, every fleet-wide column is in
@@ -151,8 +161,7 @@ def _vectorized_open_loop(params: CostParameters,
     length; ``(a + b) - a`` is not ``b``), and a row of a matrix rounds
     exactly like the same numbers as a vector.
     """
-    num_clients = len(streams)
-    shapes, shape_of = distinct_by_identity(streams)
+    num_clients = len(shape_of)
     ops_per_client = np.array([s.num_ops for s in shapes],
                               dtype=np.int64)[shape_of]
     base = np.zeros(num_clients + 1, dtype=np.int64)
@@ -160,13 +169,9 @@ def _vectorized_open_loop(params: CostParameters,
     n_ops = int(base[-1])
 
     g_T = schedule_us
-    # Global issue order (T, client, op): the deterministic tie-break the
-    # index machine realizes through event sequence numbers.
     g_client = np.repeat(np.arange(num_clients, dtype=np.int64),
                          ops_per_client)
     g_op = _group_arange(ops_per_client)
-    g_rank = np.empty(n_ops, dtype=np.int64)
-    g_rank[np.argsort(g_T, kind="stable")] = np.arange(n_ops, dtype=np.int64)
     g_shape = shape_of[g_client]
     g_requests = _column_reader(shapes, "op_requests")(g_shape, g_op)
 
@@ -208,16 +213,19 @@ def _vectorized_open_loop(params: CostParameters,
     no_visit = vpt == 0
     g_done[real_g[no_visit]] = prim_arr[no_visit] + half[no_visit]
 
-    # --- primaries in (arrival, rank) order, then the fan-out of each ---
+    # --- primaries in (arrival, issue) order, then the fan-out of each ---
+    # Issue order (T, client, op) is the deterministic tie-break the index
+    # machine realizes through event sequence numbers.
     visit_osd = _column_reader(shapes, "visit_osd")
     visit_svc = _column_reader(shapes, "visit_service_us")
     visit_lat = _column_reader(shapes, "visit_latency_us")
     has = np.flatnonzero(vpt)
-    has = has[_time_order(prim_arr[has], g_rank[real_g[has]],
-                          np.zeros(has.size, dtype=np.int64))]
+    arrive = prim_arr[has]
+    # numpy's default sort: one interleaved run per client, where it beats
+    # timsort
+    has = has[_time_order(np.argsort(arrive), arrive, real_g[has], g_T)]
     p_shape, p_visit, p_arr, p_gop = (r_shape[has], r_visit[has],
                                       prim_arr[has], real_g[has])
-    p_rank = g_rank[p_gop]
     p_osd = visit_osd(p_shape, p_visit)
     p_svc = visit_svc(p_shape, p_visit)
     p_lat = visit_lat(p_shape, p_visit)
@@ -230,7 +238,6 @@ def _vectorized_open_loop(params: CostParameters,
     r_svc = visit_svc(rep_shape, rep_visit)
     r_lat = visit_lat(rep_shape, rep_visit)
     r_gop = np.repeat(p_gop, rep_counts)
-    r_rank = np.repeat(p_rank, rep_counts)
     r_push = _column_reader(shapes, "visit_push_us")(rep_shape, rep_visit)
     r_hop = _column_reader(shapes, "visit_hop_us")(rep_shape, rep_visit)
 
@@ -250,16 +257,14 @@ def _vectorized_open_loop(params: CostParameters,
     v_svc = np.concatenate([p_svc, r_svc])
     v_lat = np.concatenate([p_lat, r_lat])
     v_gop = np.concatenate([p_gop, r_gop])
-    v_rank = np.concatenate([p_rank, r_rank])
-    # Within an op, the primary (visit rank 0) precedes replicas (1..).
-    v_vrank = np.concatenate([np.zeros(p_osd.size, dtype=np.int64),
-                              r_vrank + 1])
 
     op_ack = np.full(n_ops, -np.inf)
     osd_busy: Dict[int, float] = {}
     osd_wait: Dict[int, float] = {}
     if v_osd.size:
-        osd_order = _time_order(v_arr, v_rank, v_vrank, queue=v_osd)
+        # stable: two presorted runs, where timsort beats the default sort
+        osd_order = _time_order(np.argsort(v_arr, kind="stable"), v_arr,
+                                v_gop, g_T, queue=v_osd)
         s_osd = v_osd[osd_order]
         s_arr = v_arr[osd_order]
         s_svc = v_svc[osd_order]
@@ -328,11 +333,11 @@ def simulate_closed_loop(params: CostParameters,
                          ) -> EventSimResult:
     """Closed-loop replay of every client on one shared cluster, on the
     index machine (a tracer records its events' sim-clock times)."""
-    if not isinstance(queue_depth, (int, np.integer)) or queue_depth <= 0:
+    if not _is_count(queue_depth):
         raise ConfigurationError(
             f"queue depth must be a positive integer (got {queue_depth!r})")
     compact = encode_streams(streams)
-    _check_replayable(compact)
+    _check_replayable(distinct_by_identity(compact)[0])
     return replay_closed_loop(params, compact, queue_depth, tracer)
 
 
@@ -350,26 +355,43 @@ def simulate_fleet(params: CostParameters,
     materialize per-event times.
     """
     compact = encode_streams(streams)
-    if len(arrivals_us) != len(compact):
+    try:
+        arrays = len(arrivals_us)
+    except TypeError:
         raise ConfigurationError(
-            f"{len(arrivals_us)} arrival arrays for {len(compact)} clients")
-    _check_replayable(compact)
-    schedule = _checked_schedule(compact, arrivals_us)
+            "arrival timestamps must be one sequence per client (got "
+            f"{type(arrivals_us).__name__})") from None
+    if arrays != len(compact):
+        raise ConfigurationError(
+            f"{arrays} arrival arrays for {len(compact)} clients")
+    # a tiled fleet repeats its stream objects: every pass below runs over
+    # the distinct ones
+    shapes, shape_of = distinct_by_identity(compact)
+    _check_replayable(shapes)
+    schedule = _checked_schedule(shapes, shape_of, arrivals_us)
     if (tracer is None and params.osd_shards == 1
             and not has_serial_chains(compact)):
-        return _vectorized_open_loop(params, compact, schedule)
+        return _vectorized_open_loop(params, shapes, shape_of, schedule)
     return replay_open_loop(params, compact, _per_client(schedule, compact),
                             tracer)
 
 
-def _check_replayable(streams: Sequence[CompactStream]) -> None:
-    """What the closed loop and the fleet both refuse, the same way."""
-    if not any(s.num_ops for s in streams):
+def _is_count(value) -> bool:
+    """Whether ``value`` is a positive integer (``True`` is not one)."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value > 0)
+
+
+def _check_replayable(shapes: Sequence[CompactStream]) -> None:
+    """What the closed loop and the fleet both refuse, the same way.
+
+    ``shapes`` are the fleet's distinct streams; a tiled fleet shares its
+    columns, so each distinct array is read once.
+    """
+    if not any(s.num_ops for s in shapes):
         raise ConfigurationError(
             "event simulation needs at least one traced operation "
             "(was ledger.trace_ops enabled during the run?)")
-    # a tiled fleet shares its columns: each distinct array is read once
-    shapes, _ = distinct_by_identity(streams)
     if int(column_table(shapes, "op_requests")[0].min()) <= 0:
         raise ConfigurationError(
             "every operation must complete at least one request "
@@ -393,17 +415,16 @@ def _flat_numbers(times) -> bool:
         return False
 
 
-def _checked_schedule(streams: Sequence[CompactStream],
+def _checked_schedule(shapes: Sequence[CompactStream], shape_of: np.ndarray,
                       arrivals_us: Sequence[Sequence[float]],
                       ) -> np.ndarray:
     """Validate a fleet's inputs; return the arrival schedule concatenated
-    in client order.
+    in client order (client ``i`` replays ``shapes[shape_of[i]]``).
 
     Every check runs on fleet-wide columns (one pass whatever the client
     count) and before an engine is chosen, so the vectorized scans, the
     index machine and a traced run reject the same inputs the same way.
     """
-    shapes, shape_of = distinct_by_identity(streams)
     ops_per_client = np.array([s.num_ops for s in shapes],
                               dtype=np.int64)[shape_of]
     try:
@@ -461,7 +482,7 @@ def fleet_streams_from_template(template, num_clients: int,
     """
     for count in (num_clients, ops_per_client,
                   1 if osd_count is None else osd_count):
-        if not isinstance(count, (int, np.integer)) or count <= 0:
+        if not _is_count(count):
             raise ConfigurationError(
                 "fleet synthesis needs positive integer client, op and "
                 f"OSD counts (got {count!r})")

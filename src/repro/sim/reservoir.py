@@ -23,9 +23,11 @@ Two properties the rest of the stack relies on:
 
 from __future__ import annotations
 
+import numbers
 import random
 from typing import Dict, List, Optional, Sequence
 
+from ..errors import ConfigurationError
 from ..util import percentile
 
 #: default sample capacity of the run-wide reservoirs; large enough that
@@ -54,7 +56,7 @@ class LatencyReservoir:
     def __init__(self, capacity: int = DEFAULT_RESERVOIR_CAPACITY,
                  seed: int = 0x5EED) -> None:
         if capacity <= 0:
-            raise ValueError("reservoir capacity must be positive")
+            raise ConfigurationError("reservoir capacity must be positive")
         self.capacity = capacity
         self.count = 0
         self.sum_us = 0.0
@@ -82,8 +84,10 @@ class LatencyReservoir:
         aggregate moments grow and the sample sees at most ``weight``
         acceptance draws (bounded by the queue depth in practice).
         """
-        if weight <= 0:
-            raise ValueError("weight must be positive")
+        if (not isinstance(weight, numbers.Integral)
+                or isinstance(weight, bool) or weight <= 0):
+            raise ConfigurationError(
+                f"weight must be a positive integer (got {weight!r})")
         self.sum_us += value_us * weight
         if value_us > self.max_us:
             self.max_us = value_us
@@ -129,9 +133,9 @@ class LatencyReservoir:
         else:
             weights = np.asarray(weights, dtype=np.int64).ravel()
             if weights.shape != values.shape:
-                raise ValueError("weights must match values in shape")
+                raise ConfigurationError("weights must match values in shape")
             if weights.size and int(weights.min()) <= 0:
-                raise ValueError("weights must be positive")
+                raise ConfigurationError("weights must be positive")
             self.sum_us += float(np.add.reduce(values * weights))
             counts_end = np.cumsum(weights)
             added = int(counts_end[-1])
@@ -182,11 +186,14 @@ class LatencyReservoir:
         builds (an empty segment stays a fresh reservoir).  This is how
         the vectorized replay fills its per-client reservoirs: counts,
         extremes and samples of all segments come from a fixed number of
-        whole-column numpy calls.  What stays per segment is ``sum_us``
-        — ``extend`` sums the segment's products pairwise, a grouping
-        ``add.reduceat`` does not reproduce — and any segment whose
-        population exceeds ``capacity``, which goes through ``extend``
-        itself so the acceptance draws are the same.
+        whole-column numpy calls.  ``extend`` sums a segment's products
+        pairwise, a grouping ``add.reduceat`` does not reproduce, so the
+        sums are one matrix row sum per distinct segment width: a row of
+        a matrix rounds exactly like the same numbers as a vector.  What
+        stays per segment is any segment whose population exceeds
+        ``capacity``, which goes through ``extend`` itself so the
+        acceptance draws are the same.  ``offsets`` rise from 0 to the
+        number of values.
         """
         import numpy as np
 
@@ -194,9 +201,15 @@ class LatencyReservoir:
         weights = np.asarray(weights, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
         if values.ndim != 1 or weights.shape != values.shape:
-            raise ValueError("weights must match values in shape")
+            raise ConfigurationError("weights must match values in shape")
         if weights.size and int(weights.min()) <= 0:
-            raise ValueError("weights must be positive")
+            raise ConfigurationError("weights must be positive")
+        if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
+                or offsets[-1] != values.size
+                or (np.diff(offsets) < 0).any()):
+            raise ConfigurationError(
+                f"segment offsets must rise from 0 to {values.size}, the "
+                "number of values")
         out = [cls(capacity=capacity) for _ in range(len(offsets) - 1)]
         sizes = np.diff(offsets)
         filled = np.flatnonzero(sizes)
@@ -217,6 +230,14 @@ class LatencyReservoir:
         kept = np.repeat(values[keep], weights[keep]).tolist()
         kept_end = np.cumsum(np.where(fits, population, 0)).tolist()
         products = values * weights
+        sums = np.zeros(len(out))
+        small = filled[fits[filled]]
+        width = sizes[small]
+        for w in np.unique(width).tolist():
+            rows = small[width == w]
+            sums[rows] = products[offsets[rows][:, None]
+                                  + np.arange(w)].sum(axis=1)
+        sums = sums.tolist()
         bounds = offsets.tolist()
         population = population.tolist()
         for rank, i in enumerate(filled.tolist()):
@@ -225,7 +246,7 @@ class LatencyReservoir:
                 stats.extend(values[lo:hi], weights=weights[lo:hi])
                 continue
             stats.count = population[i]
-            stats.sum_us += float(np.add.reduce(products[lo:hi]))
+            stats.sum_us += sums[i]
             stats.min_us, stats.max_us = low[rank], high[rank]
             stats._sample = kept[kept_end[i] - population[i]:kept_end[i]]
         return out

@@ -13,7 +13,8 @@ honest, each pinned here:
   vector scan, so this catches padding, segment subtraction and wrong
   width groups);
 * ``LatencyReservoir.from_segments`` equals a fresh ``extend`` per
-  segment, including the next RNG draw;
+  segment, including the next RNG draw and the segment sums it takes one
+  matrix per distinct width for;
 * ragged tie-free fleets still match the index machine.
 
 Plus the input checks ``simulate_fleet`` makes before choosing an engine
@@ -102,9 +103,10 @@ class TestCallCountScaling:
         many_all, many_numpy = self._calls(900)
         # The per-client loop this replaced read 119 and 181 here; what is
         # left per client is one conversion of its arrival times, one
-        # segment sum, one reservoir and three identity look-ups: 2 and 16.
-        assert (many_numpy - few_numpy) / 800 <= 3
-        assert (many_all - few_all) / 800 <= 20
+        # reservoir and one identity look-up: 1 and 9 (2 and 16 with one
+        # segment sum per client and an identity pass per check).
+        assert (many_numpy - few_numpy) / 800 <= 1.5
+        assert (many_all - few_all) / 800 <= 12
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +237,37 @@ class TestFromSegments:
         assert fresh.sum_us == built.sum_us == float(
             np.add.reduce(values * weights))
 
-    def test_rejects_what_extend_rejects(self):
-        with pytest.raises(ValueError, match="positive"):
-            LatencyReservoir.from_segments([1.0, 2.0], [1, 0], [0, 2])
-        with pytest.raises(ValueError, match="shape"):
-            LatencyReservoir.from_segments([1.0, 2.0], [1], [0, 2])
+    def test_width_groups_sum_like_one_extend_per_segment(self):
+        """Segment sums come from one matrix per distinct width: 1,000
+        segments in five widths, each sum equal to its own ``extend``."""
+        rng = np.random.default_rng(11)
+        sizes = rng.choice([1, 3, 50, 129, 1024], size=1000)
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        values = rng.exponential(120.0, size=int(offsets[-1]))
+        weights = np.ones(values.size, dtype=np.int64)
+        weights[rng.random(values.size) < 0.3] = 2
+        batch = LatencyReservoir.from_segments(values, weights, offsets,
+                                               capacity=2048)
+        for i, built in enumerate(batch):
+            fresh = LatencyReservoir(capacity=2048)
+            lo, hi = offsets[i], offsets[i + 1]
+            fresh.extend(values[lo:hi], weights=weights[lo:hi])
+            assert built.sum_us == fresh.sum_us, i
+
+    @pytest.mark.parametrize("values,weights,offsets,message", [
+        ([1.0, 2.0], [1, 0], [0, 2], "positive"),
+        ([1.0, 2.0], [1], [0, 2], "shape"),
+        ([1.0, 2.0], [1, 1], [0, 3], "offsets"),       # past the end
+        ([1.0, 2.0], [1, 1], [0, 1], "offsets"),       # short of the end
+        ([1.0, 2.0], [1, 1], [1, 2], "offsets"),       # not from 0
+        ([1.0, 2.0], [1, 1], [0, 2, 1, 2], "offsets"),  # decreasing
+        ([1.0, 2.0], [1, 1], [], "offsets"),
+    ])
+    def test_rejects_what_extend_rejects(self, values, weights, offsets,
+                                         message):
+        # out-of-range and decreasing offsets escaped as a bare IndexError
+        with pytest.raises(ConfigurationError, match=message):
+            LatencyReservoir.from_segments(values, weights, offsets)
 
     def test_rng_is_built_on_first_draw(self):
         stats = LatencyReservoir(capacity=4)
@@ -381,6 +409,13 @@ class TestInputChecks:
                            match="1 arrival arrays for 2 clients"):
             simulate_fleet(_params(), two, [[1.0, 2.0, 3.0]])
 
+    @pytest.mark.parametrize("arrivals", [None, 7.0, iter([[1.0, 2.0, 3.0]])])
+    def test_arrivals_without_a_length_are_a_typed_error(self, arrivals):
+        # None died with a bare TypeError from len()
+        with pytest.raises(ConfigurationError,
+                           match="one sequence per client"):
+            simulate_fleet(_params(), [self.THREE], arrivals)
+
     def test_a_step_back_between_clients_is_not_unsorted(self):
         # client 1 starts before client 0 ends; empty clients sit on the
         # boundaries at both ends and in the middle
@@ -417,13 +452,16 @@ class TestFleetSynthesisSharing:
                                   (base + client % osd_count) % osd_count)
             assert stream.trace_cpu_us is streams[0].trace_cpu_us
 
+    # True used to build one client (or one op) without a word
     @pytest.mark.parametrize("args", [(2.5, 3), (3, 2.5), (0, 3), (3, 0),
-                                      ("3", 3)])
+                                      ("3", 3), (True, 3), (3, True)])
     def test_counts_must_be_positive_integers(self, args):
         with pytest.raises(ConfigurationError, match="positive integer"):
             fleet_streams_from_template(self.TEMPLATE, *args)
-        with pytest.raises(ConfigurationError, match="positive integer"):
-            fleet_streams_from_template(self.TEMPLATE, 3, 3, osd_count=4.5)
+        for osd_count in (4.5, True):
+            with pytest.raises(ConfigurationError, match="positive integer"):
+                fleet_streams_from_template(self.TEMPLATE, 3, 3,
+                                            osd_count=osd_count)
 
     @pytest.mark.parametrize("template", [[], encode_stream([])],
                              ids=["op-list", "encoded"])

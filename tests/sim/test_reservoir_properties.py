@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.sim.reservoir import LatencyReservoir
 from repro.util import percentile
 
@@ -67,12 +68,21 @@ class TestWeightedExtend:
 
     def test_weight_validation(self):
         reservoir = LatencyReservoir(capacity=8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="positive"):
             reservoir.extend(np.array([1.0]), weights=np.array([0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="shape"):
             reservoir.extend(np.array([1.0, 2.0]), weights=np.array([1]))
-        with pytest.raises(ValueError):
-            reservoir.record(1.0, weight=0)
+        # 2.0 escaped as a bare TypeError from range()
+        for weight in (0, -1, 2.0, "2", True):
+            with pytest.raises(ConfigurationError, match="positive integer"):
+                reservoir.record(1.0, weight=weight)
+        assert reservoir.count == 0
+        reservoir.record(1.0, weight=np.int64(2))
+        assert (reservoir.count, reservoir.sample) == (2, [1.0, 1.0])
+
+    def test_capacity_validation(self):
+        with pytest.raises(ConfigurationError, match="capacity"):
+            LatencyReservoir(capacity=0)
 
 
 class TestSampledPercentileTolerance:

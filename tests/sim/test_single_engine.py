@@ -259,7 +259,8 @@ def _one_read():
         bytes_moved=4096)])]]
 
 
-@pytest.mark.parametrize("depth", [2.5, "3", None, 0, -1, np.float64(2.0)])
+@pytest.mark.parametrize("depth", [2.5, "3", None, 0, -1, np.float64(2.0),
+                                   True])    # True ran at depth 1, silently
 def test_a_queue_depth_that_is_no_positive_integer_is_a_typed_error(depth):
     with pytest.raises(ConfigurationError, match="positive integer"):
         simulate_client_ops(CostParameters(), _one_read(), depth)

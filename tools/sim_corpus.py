@@ -21,7 +21,7 @@ numbers across refactors.  Each record prints every result field with
   backend-network and OSD arrivals coincide across clients), zero or
   integer hop/push, every visit on one OSD or on very few, ``requests``
   > 1.  The vectorized engine's queue order is decided by its
-  tie-breaks alone here (issue rank, then visit rank), which the other
+  tie-breaks alone here (issue order, then visit rank), which the other
   groups never exercise;
 * ``invalid/...`` — inputs ``simulate_fleet`` must reject, recorded as the
   exception's type and message: malformed arrivals and request counts,
