@@ -25,8 +25,7 @@ from __future__ import annotations
 from repro import api
 from repro.clone import clone_fanout
 from repro.util import KIB, MIB
-from repro.workload.cluster_runner import ClusterWorkloadRunner
-from repro.workload.runner import prefill_image
+from repro.workload.runner import WorkloadRunner, prefill_image
 from repro.workload.spec import WorkloadSpec
 
 LAYOUT = "object-end"
@@ -77,11 +76,11 @@ def test_clone_fanout_boot_storm(benchmark):
 
     def storm():
         cluster = _golden_cluster("read")
-        layered = ClusterWorkloadRunner(cluster).run(
+        layered = WorkloadRunner(cluster).run_streams(
             _fanout(cluster, "vm"), _spec("boot-storm", "randread", 71),
             layout_name=LAYOUT)
         control_cluster = _golden_cluster("read-flat")
-        flattened = ClusterWorkloadRunner(control_cluster).run(
+        flattened = WorkloadRunner(control_cluster).run_streams(
             _fanout(control_cluster, "flat", flatten=True),
             _spec("boot-storm-flat", "randread", 71), layout_name=LAYOUT)
         points["layered"], points["flattened"] = layered, flattened
@@ -122,12 +121,12 @@ def test_clone_fanout_copyup_storm(benchmark):
 
     def storm():
         cluster = _golden_cluster("write")
-        runner = ClusterWorkloadRunner(cluster)
+        runner = WorkloadRunner(cluster)
         clones = _fanout(cluster, "vm")
-        cold = runner.run(clones, _spec("copyup-cold", "randwrite", 72),
-                          layout_name=LAYOUT)
-        warm = runner.run(clones, _spec("copyup-warm", "randwrite", 73),
-                          layout_name=LAYOUT)
+        cold = runner.run_streams(
+            clones, _spec("copyup-cold", "randwrite", 72), layout_name=LAYOUT)
+        warm = runner.run_streams(
+            clones, _spec("copyup-warm", "randwrite", 73), layout_name=LAYOUT)
         points["cold"], points["warm"] = cold, warm
         return points
 

@@ -18,8 +18,7 @@ Run with::
 """
 
 from repro import api
-from repro.faults import (STAGE_KILL_PRIMARY_MID_TXN, OsdFaultPlan,
-                          inject_osd_fault)
+from repro.faults import STAGE_KILL_PRIMARY_MID_TXN, FaultPlan, inject
 from repro.faults.drill import run_failure_drill
 from repro.rados import backfill, peer, verify_replica_consistency
 from repro.rados.cluster import ClusterConfig
@@ -48,8 +47,8 @@ def main() -> None:
 
     # 2. Arm a kill: the next replicated transaction loses its primary the
     #    instant after the primary applied (committed locally, never acked).
-    plan = OsdFaultPlan(stage=STAGE_KILL_PRIMARY_MID_TXN, hit=1)
-    with inject_osd_fault(plan):
+    plan = FaultPlan(stage=STAGE_KILL_PRIMARY_MID_TXN, hit=1)
+    with inject(plan):
         image.write(0, b"\x42" * 8 * KIB)
         oracle[0:8 * KIB] = b"\x42" * 8 * KIB
     print(f"killed osd.{plan.victim} mid-transaction "

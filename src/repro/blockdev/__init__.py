@@ -8,6 +8,5 @@ on.
 """
 
 from .device import DeviceStats, SimulatedDisk
-from .trace import IOTrace, TraceRecord
 
-__all__ = ["SimulatedDisk", "DeviceStats", "IOTrace", "TraceRecord"]
+__all__ = ["SimulatedDisk", "DeviceStats"]

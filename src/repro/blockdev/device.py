@@ -26,7 +26,6 @@ import mmap
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .trace import IOTrace
 from ..errors import DeviceError, OutOfRangeError
 from ..sim.costparams import CostParameters
 from ..sim.ledger import CostLedger, RES_OSD_DEVICE
@@ -96,21 +95,18 @@ class SimulatedDisk:
     Parameters
     ----------
     name:
-        Identifier used in traces and error messages (e.g. ``"osd.2/nvme0"``).
+        Identifier used in error messages (e.g. ``"osd.2/nvme0"``).
     capacity_bytes:
         Device size; IOs beyond it raise :class:`OutOfRangeError`.
     params:
         Cost parameters (sector size, per-op and per-byte costs).
     ledger:
         Shared cost ledger; may be ``None`` for purely functional use.
-    trace:
-        Optional :class:`IOTrace` receiving one record per operation.
     """
 
     def __init__(self, name: str, capacity_bytes: int,
                  params: Optional[CostParameters] = None,
-                 ledger: Optional[CostLedger] = None,
-                 trace: Optional[IOTrace] = None) -> None:
+                 ledger: Optional[CostLedger] = None) -> None:
         if capacity_bytes <= 0:
             raise OutOfRangeError("device capacity must be positive")
         self.name = name
@@ -118,7 +114,6 @@ class SimulatedDisk:
         self.params = params or CostParameters()
         self.sector_size = self.params.sector_size
         self.ledger = ledger
-        self.trace = trace
         self.stats = DeviceStats()
         self._extent_sectors = max(1, EXTENT_BYTES // self.sector_size)
         self._extent_bytes = self._extent_sectors * self.sector_size
@@ -189,7 +184,7 @@ class SimulatedDisk:
     # -- data path ---------------------------------------------------------------
 
     def peek(self, offset: int, length: int) -> bytes:
-        """The stored bytes of a range, with no cost, statistic or trace.
+        """The stored bytes of a range, with no cost or statistic.
 
         For bookkeeping that is not an I/O on the modelled data path (the
         OSD preserving an object head for a snapshot: BlueStore clones
@@ -220,8 +215,6 @@ class SimulatedDisk:
         stats.read_ops += 1
         stats.sectors_read += sectors
         stats.bytes_read += length
-        if self.trace is not None:
-            self.trace.record("read", self.name, offset, length, sectors)
         return DeviceResult(payload, latency, sectors)
 
     def write(self, offset: int, data: bytes) -> DeviceResult:
@@ -272,8 +265,6 @@ class SimulatedDisk:
         if rmw_sectors:
             stats.unaligned_writes += 1
             stats.rmw_sectors_read += rmw_sectors
-        if self.trace is not None:
-            self.trace.record("write", self.name, offset, length, sectors)
         return DeviceResult(b"", latency, sectors)
 
     def _store(self, index: int, start: int, data: object, length: int) -> None:

@@ -49,10 +49,6 @@ class OutOfRangeError(DeviceError):
     """An IO touched sectors outside of the device/image."""
 
 
-class AlignmentError(DeviceError):
-    """An IO violated an alignment requirement that the caller promised."""
-
-
 class KVStoreError(StorageError):
     """Errors from the embedded LSM key-value store."""
 
@@ -108,10 +104,6 @@ class ImageExistsError(RbdError):
 
 class ImageNotFoundError(RbdError):
     """Attempt to open an image that does not exist."""
-
-
-class ImageBusyError(RbdError):
-    """The image is open in a mode that conflicts with the request."""
 
 
 class CloneError(RbdError):

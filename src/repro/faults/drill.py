@@ -3,9 +3,10 @@
 One self-contained scenario per OSD-kill stage (the failure matrix),
 shared by the CLI (``repro failure-drill``), the test suite and CI.  The
 drill runs a seeded encrypted workload against a many-OSD cluster with
-host failure domains, kills daemons mid-flight (via an armed
-:class:`~repro.faults.plan.OsdFaultPlan` or an explicit kill for the
-backfill stage), and checks the failure-equivalence oracle:
+host failure domains, kills daemons mid-flight (via a
+:class:`~repro.faults.plan.FaultPlan` armed at an OSD-kill stage, or an
+explicit kill for the backfill stage), and checks the failure-equivalence
+oracle:
 
 * **no acked write is ever lost** — a shadow copy applies exactly the
   acknowledged writes, and the image must match it byte-for-byte both
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .plan import (EC_KILL_STAGES, OSD_KILL_STAGES, REPLICATED_KILL_STAGES,
-                   STAGE_KILL_DURING_BACKFILL, OsdFaultPlan, inject_osd_fault)
+                   STAGE_KILL_DURING_BACKFILL, FaultPlan, inject)
 from ..errors import ConfigurationError, DegradedClusterError
 from ..util import KIB, MIB
 
@@ -132,8 +133,8 @@ def run_failure_drill(stage: str, seed: int, osd_count: int = 100,
     from ..rados.cluster import ClusterConfig
     from ..rados.recovery import backfill, peer, verify_replica_consistency
     from ..rbd.striping import object_name
+    from ..sim.fleet import simulate_closed_loop
     from ..sim.ledger import ClientOpTrace
-    from ..sim.scheduler import simulate_client_ops
 
     if stage not in OSD_KILL_STAGES:
         raise ConfigurationError(
@@ -211,13 +212,13 @@ def run_failure_drill(stage: str, seed: int, osd_count: int = 100,
             if victim not in result.victims:
                 cluster.mark_osd_down(victim)
                 result.victims.append(victim)
-        plan = OsdFaultPlan(stage=stage, hit=1, seed=seed)
+        plan = FaultPlan(stage=stage, hit=1, seed=seed)
         issue(writes[healthy_cut:])
     else:
-        plan = OsdFaultPlan.random_plan(stage, seed,
-                                        max_hit=min(8, len(writes)
-                                                    - healthy_cut))
-        with inject_osd_fault(plan):
+        plan = FaultPlan.random_plan(stage, seed,
+                                     max_hit=min(8, len(writes)
+                                                 - healthy_cut))
+        with inject(plan):
             issue(writes[healthy_cut:])
         result.fired = plan.fired
         if plan.victim is not None:
@@ -248,7 +249,7 @@ def run_failure_drill(stage: str, seed: int, osd_count: int = 100,
             if work:
                 plan.hit = rng.randint(1, work)
                 result.hit = plan.hit
-                with inject_osd_fault(plan):
+                with inject(plan):
                     backfill(cluster, pool)
                 result.fired = plan.fired
                 if plan.victim is not None and plan.victim not in result.victims:
@@ -282,10 +283,10 @@ def run_failure_drill(stage: str, seed: int, osd_count: int = 100,
     storm_stream = [ClientOpTrace(client=1, requests=1, traces=[trace])
                     for trace in backfill_traces]
     if client_stream:
-        sim = simulate_client_ops(cluster.params,
-                                  [client_stream, storm_stream]
-                                  if storm_stream else [client_stream],
-                                  queue_depth=queue_depth, tracer=tracer)
+        sim = simulate_closed_loop(cluster.params,
+                                   [client_stream, storm_stream]
+                                   if storm_stream else [client_stream],
+                                   queue_depth=queue_depth, tracer=tracer)
         # Percentiles of the *client* stream only: the drill reports what
         # applications see while recovery traffic contends underneath.
         result.storm_latency_us = (

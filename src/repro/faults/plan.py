@@ -3,13 +3,14 @@
 A :class:`FaultPlan` describes *one* fault: the stage it fires at and on
 which arrival at that stage (the ``hit``).  The instrumented code calls
 :func:`crash_point` (client kill), :func:`torn_op_count` (OSD-side torn
-transaction) or :func:`torn_tail_bytes` (client-log torn tail) at its
-named stages; a plan made active with :func:`inject` counts arrivals and
-fires exactly once.
+transaction), :func:`torn_tail_bytes` (client-log torn tail) or
+:func:`osd_kill_due` (OSD daemon kill) at its named stages; a plan made
+active with :func:`inject` counts arrivals and fires exactly once.
 
-The stages are a closed vocabulary (``ALL_STAGES``) so the CI crash
-matrix can enumerate them and a typo'd stage name is an error rather
-than a fault that silently never fires.
+The stages are a closed vocabulary (``ALL_STAGES`` for the client-kill
+matrix, ``OSD_KILL_STAGES`` for the failure drill) so CI can enumerate
+them and a typo'd stage name is an error rather than a fault that
+silently never fires.
 """
 
 from __future__ import annotations
@@ -96,7 +97,10 @@ class FaultPlan:
     ``hit`` is 1-based: ``hit=1`` fires on the first arrival.  For the
     torn faults the plan also decides how much of the victim survives:
     ``torn_keep`` ops of the transaction (``torn-osd-write``) or a seeded
-    random fraction of the record frame (``torn-log-tail``).
+    random fraction of the record frame (``torn-log-tail``).  At an
+    OSD-kill stage the victim is a *daemon*, not the client: the call site
+    (:func:`osd_kill_due`) reports that the kill is due and records which
+    OSD it landed on as ``victim``.
     """
 
     stage: str
@@ -107,14 +111,17 @@ class FaultPlan:
     #: seed of the plan's private RNG (tear geometry); printed by the
     #: harness so any run is reproducible
     seed: int = 0
-    # -- state ---------------------------------------------------------------
-    hits_seen: int = field(default=0, repr=False)
-    fired: bool = field(default=False, repr=False)
+    # -- state (not settable) ------------------------------------------------
+    hits_seen: int = field(default=0, init=False, repr=False)
+    fired: bool = field(default=False, init=False, repr=False)
+    #: OSD-kill stages: the OSD id the kill landed on (for reports)
+    victim: Optional[int] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.stage not in ALL_STAGES:
+        if self.stage not in ALL_STAGES + OSD_KILL_STAGES:
             raise ConfigurationError(
-                f"unknown fault stage {self.stage!r}; valid: {ALL_STAGES}")
+                f"unknown fault stage {self.stage!r}; valid: "
+                f"{ALL_STAGES + OSD_KILL_STAGES}")
         if self.hit < 1:
             raise ConfigurationError("fault hit must be >= 1")
         self._rng = random.Random(self.seed)
@@ -195,73 +202,6 @@ def torn_op_count(total_ops: int) -> Optional[int]:
     return plan.tear_point(total_ops)
 
 
-@dataclass
-class OsdFaultPlan:
-    """One armed OSD kill: fire at the ``hit``-th arrival of ``stage``.
-
-    Same fire-once hit-counting and seeding discipline as
-    :class:`FaultPlan`, but the victim is a *daemon*, not the client: the
-    instrumented call site (:func:`osd_kill_due`) reports that the kill is
-    due and the caller marks the OSD down on the cluster — no exception
-    crosses the client, whose retry/failover path is exactly what the
-    failure matrix is exercising.
-    """
-
-    stage: str
-    hit: int = 1
-    seed: int = 0
-    # -- state ---------------------------------------------------------------
-    hits_seen: int = field(default=0, repr=False)
-    fired: bool = field(default=False, repr=False)
-    #: OSD id the kill landed on (recorded by the call site for reports)
-    victim: Optional[int] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.stage not in OSD_KILL_STAGES:
-            raise ConfigurationError(
-                f"unknown OSD kill stage {self.stage!r}; "
-                f"valid: {OSD_KILL_STAGES}")
-        if self.hit < 1:
-            raise ConfigurationError("fault hit must be >= 1")
-
-    @classmethod
-    def random_plan(cls, stage: str, seed: int,
-                    max_hit: int = 8) -> "OsdFaultPlan":
-        """A plan whose trigger point is drawn from ``seed`` (printed-seed
-        randomized testing, mirroring :meth:`FaultPlan.random_plan`)."""
-        rng = random.Random(f"{seed}/{stage}")
-        return cls(stage=stage, hit=rng.randint(1, max(1, max_hit)), seed=seed)
-
-    def _arrived(self, stage: str) -> bool:
-        if self.fired or stage != self.stage:
-            return False
-        self.hits_seen += 1
-        if self.hits_seen < self.hit:
-            return False
-        self.fired = True
-        return True
-
-
-_active_osd_fault: Optional[OsdFaultPlan] = None
-
-
-def active_osd_fault() -> Optional[OsdFaultPlan]:
-    """The currently injected OSD kill plan (None outside the context)."""
-    return _active_osd_fault
-
-
-@contextmanager
-def inject_osd_fault(plan: OsdFaultPlan) -> Iterator[OsdFaultPlan]:
-    """Make ``plan`` the armed OSD kill for the duration of the block."""
-    global _active_osd_fault
-    previous = _active_osd_fault
-    _active_osd_fault = plan
-    try:
-        yield plan
-    finally:
-        _active_osd_fault = previous
-
-
 def osd_kill_due(stage: str, victim: int) -> bool:
     """Instrumented kill point: is the armed OSD fault due here?
 
@@ -269,7 +209,7 @@ def osd_kill_due(stage: str, victim: int) -> bool:
     marks ``victim`` down on its cluster.  ``victim`` is recorded on the
     plan so harnesses can report which daemon died.
     """
-    plan = _active_osd_fault
+    plan = _active
     if plan is None or not plan._arrived(stage):
         return False
     plan.victim = victim

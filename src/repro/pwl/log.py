@@ -18,15 +18,12 @@ drained.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 from ..faults.plan import STAGE_TORN_LOG_TAIL, ClientCrash, torn_tail_bytes
 from ..kvstore.wal import WAL_FRAME_OVERHEAD, encode_record, recover_records
-
-#: fallback costs when the cost parameters predate the pwl knobs
-DEFAULT_APPEND_LATENCY_US = 6.0
-DEFAULT_BANDWIDTH_MBPS = 2000.0
+from ..sim.costparams import CostParameters
 
 
 class PwlReplayError(ReproError):
@@ -89,9 +86,10 @@ class PersistentWriteLog:
     discarded, never raised (``recovered_clean`` reports it).
     """
 
-    def __init__(self, media: PwlMedia, params=None) -> None:
+    def __init__(self, media: PwlMedia,
+                 params: Optional[CostParameters] = None) -> None:
         self._media = media
-        self._params = params
+        self._params = params if params is not None else CostParameters()
         payloads, clean = recover_records(media.buffer)
         self.recovered_clean = clean
         #: records found pending at open time (the replay set)
@@ -143,11 +141,9 @@ class PersistentWriteLog:
 
     def append_cost_us(self, nbytes: int) -> float:
         """Client-side cost of persisting ``nbytes`` to the log media."""
-        latency = getattr(self._params, "pwl_append_latency_us",
-                          DEFAULT_APPEND_LATENCY_US)
-        bandwidth = getattr(self._params, "pwl_bandwidth_mbps",
-                            DEFAULT_BANDWIDTH_MBPS)
-        return latency + nbytes / (bandwidth * 1024 * 1024) * 1e6
+        params = self._params
+        return (params.pwl_append_latency_us
+                + nbytes / (params.pwl_bandwidth_mbps * 1024 * 1024) * 1e6)
 
     # -- mutation --------------------------------------------------------------
 

@@ -142,11 +142,6 @@ class EcPool(Pool):
     def is_ec(self) -> bool:
         return True
 
-    @property
-    def total_chunks(self) -> int:
-        """Chunks per stripe (``k + m``)."""
-        return self.k + self.m
-
     def shape(self) -> str:
         return f"ec {self.k}+{self.m} (min_size={self.min_size})"
 

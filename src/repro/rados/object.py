@@ -20,7 +20,7 @@ retain old ciphertext (and old IVs) alongside new data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 
 @dataclass
@@ -66,27 +66,3 @@ class RadosObject:
             if snap_id in clone.snap_ids:
                 return clone
         return None
-
-    def list_snapshot_ids(self) -> List[int]:
-        """All snapshot ids that have a preserved clone on this object."""
-        ids: Set[int] = set()
-        for clone in self.clones:
-            ids |= clone.snap_ids
-        return sorted(ids)
-
-
-@dataclass(frozen=True)
-class ObjectKey:
-    """Dictionary key identifying an object replica on an OSD."""
-
-    pool: str
-    name: str
-
-    def render(self) -> str:
-        """Human-readable ``pool/name`` form."""
-        return f"{self.pool}/{self.name}"
-
-
-def split_object_key(key: Tuple[str, str]) -> ObjectKey:
-    """Build an :class:`ObjectKey` from a ``(pool, name)`` tuple."""
-    return ObjectKey(pool=key[0], name=key[1])

@@ -18,7 +18,6 @@ which is how the paper explains near-baseline random-read performance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .object import CloneInfo, RadosObject
@@ -35,18 +34,6 @@ from ..kvstore.lsm import LsmStore
 from ..sim.costparams import CostParameters
 from ..sim.ledger import (CostLedger, OsdVisit, RES_OSD_CPU, RES_OSD_DEVICE)
 from ..util import GIB, round_up
-
-
-@dataclass
-class ObjectLocator:
-    """(pool, object name) pair used as the OSD's object table key."""
-
-    pool: str
-    name: str
-
-    def key(self) -> Tuple[str, str]:
-        """Hashable form."""
-        return (self.pool, self.name)
 
 
 class OSD:

@@ -15,7 +15,7 @@ Contracts every consumer may rely on:
 
 * **Determinism** — both performance models are pure functions of the
   recorded work: the analytic two-bound estimate reads only the ledger
-  delta, and the event-driven replay (:mod:`repro.sim.scheduler`)
+  delta, and the event-driven replay (:mod:`repro.sim.replay`)
   processes the recorded :class:`~repro.sim.ledger.ClientOpTrace` streams
   through an explicitly ordered event loop with deterministic
   tie-breaking.  Same run, same seeds → bit-identical estimates; this is
@@ -24,8 +24,8 @@ Contracts every consumer may rely on:
   its work (counters and resource busy time) before its call returns;
   snapshots/diffs of the ledger therefore bracket a run exactly.
 * **Fresh state per replay** — a replay's queues accumulate state, so
-  every entry point (:func:`simulate_client_ops`, :func:`simulate_fleet`)
-  builds its event machine anew on each call.
+  each of the two entry points (:func:`simulate_closed_loop`,
+  :func:`simulate_fleet`) builds its event machine anew on each call.
 * **Trace hygiene** — op traces are only recorded while
   ``ledger.trace_ops`` is on; unsealed traces must be either sealed by
   ``finish_op`` or dropped with ``discard_open_traces`` before the next
@@ -38,16 +38,14 @@ from .fleet import (fleet_streams_from_template, simulate_closed_loop,
                     simulate_fleet)
 from .ledger import ClientOpTrace, CostLedger, OpReceipt, OpTrace, OsdVisit
 from .perfmodel import PerformanceModel, PerformanceEstimate
+from .replay import EventSimResult, ServiceQueue
 from .reservoir import LatencyReservoir
-from .scheduler import (EventSimResult, ServiceQueue, simulate_client_ops,
-                        simulate_open_loop)
 
 __all__ = [
     "CostParameters", "SIM_MODES", "EVENT_ENGINES", "CostLedger",
     "OpReceipt", "OpTrace", "OsdVisit", "ClientOpTrace", "ServiceQueue",
-    "EventSimResult", "simulate_client_ops", "simulate_open_loop",
-    "simulate_closed_loop", "simulate_fleet", "CompactStream",
-    "encode_stream", "encode_streams", "tile_stream",
+    "EventSimResult", "simulate_closed_loop", "simulate_fleet",
+    "CompactStream", "encode_stream", "encode_streams", "tile_stream",
     "fleet_streams_from_template", "LatencyReservoir", "PerformanceModel",
     "PerformanceEstimate",
 ]

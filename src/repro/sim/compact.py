@@ -38,6 +38,7 @@ import numpy as np
 from .ledger import ClientOpTrace, OpTrace, OsdVisit
 from ..errors import ConfigurationError
 from ..obs.names import KIND_INDEX, OP_KINDS
+from ..util import is_integer
 
 
 @dataclass
@@ -77,13 +78,6 @@ class CompactStream:
     def total_requests(self) -> int:
         """Client requests the stream completes (batch windows expanded)."""
         return int(self.op_requests.sum()) if self.num_ops else 0
-
-    @property
-    def max_traces_per_op(self) -> int:
-        """Longest serial RADOS-op chain of any client op."""
-        if not self.num_ops:
-            return 0
-        return int(np.diff(self.op_trace_start).max())
 
     def nbytes(self) -> int:
         """Total buffer memory of the columns (for memory assertions)."""
@@ -172,9 +166,50 @@ def encode_stream(ops: Sequence[ClientOpTrace]) -> CompactStream:
 
 def encode_streams(streams: Sequence[Sequence[ClientOpTrace]],
                    ) -> List[CompactStream]:
-    """Encode one stream per client (accepts already-encoded streams)."""
+    """Encode one stream per client (already-encoded streams pass through
+    untouched).
+
+    Both replay entries start here, so this is where an op list that the
+    columns cannot hold faithfully is refused, naming its client: an op
+    that is no ``ClientOpTrace``, a request count that is no integer, or
+    an OSD id that is no non-negative integer (``True`` is no integer).
+    """
+    try:
+        clients = list(streams)
+    except TypeError:
+        raise ConfigurationError(
+            "streams must be one op sequence per client (got "
+            f"{type(streams).__name__})") from None
     return [stream if isinstance(stream, CompactStream)
-            else encode_stream(stream) for stream in streams]
+            else encode_stream(_checked_ops(client, stream))
+            for client, stream in enumerate(clients)]
+
+
+def _checked_ops(client: int, ops) -> List[ClientOpTrace]:
+    """``ops`` as a list, if every op can be encoded exactly."""
+    try:
+        ops = list(ops)
+    except TypeError:
+        raise ConfigurationError(
+            f"client {client}: ops must be a sequence of ClientOpTrace "
+            f"(got {type(ops).__name__})") from None
+    for index, op in enumerate(ops):
+        if not isinstance(op, ClientOpTrace):
+            raise ConfigurationError(
+                f"client {client}: op {index} is a {type(op).__name__}, "
+                "not a ClientOpTrace")
+        if not is_integer(op.requests):
+            raise ConfigurationError(
+                f"client {client}: op {index} has a request count that is "
+                f"no integer ({op.requests!r})")
+        for trace in op.traces:
+            for visit in trace.visits:
+                if not (is_integer(visit.osd_id) and visit.osd_id >= 0):
+                    raise ConfigurationError(
+                        f"client {client}: op {index} visits OSD "
+                        f"{visit.osd_id!r}; OSD ids are non-negative "
+                        "integers")
+    return ops
 
 
 def distinct_by_identity(objects: Sequence[object],

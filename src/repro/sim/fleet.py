@@ -44,11 +44,12 @@ from .compact import (CompactStream, column_table, distinct_by_identity,
                       encode_stream, encode_streams, tile_stream)
 from .costparams import CostParameters
 from .ledger import ClientOpTrace
-from .replay import has_serial_chains, replay_closed_loop, replay_open_loop
+from .replay import (EventSimResult, IndexMachine, bounding_resource,
+                     has_serial_chains, replay_open_loop)
 from .reservoir import LatencyReservoir
-from .scheduler import EventSimResult, bounding_resource
 from ..errors import ConfigurationError
 from ..obs.spans import SpanTracer
+from ..util import is_count
 
 __all__ = ["simulate_closed_loop", "simulate_fleet",
            "fleet_streams_from_template"]
@@ -333,12 +334,12 @@ def simulate_closed_loop(params: CostParameters,
                          ) -> EventSimResult:
     """Closed-loop replay of every client on one shared cluster, on the
     index machine (a tracer records its events' sim-clock times)."""
-    if not _is_count(queue_depth):
+    if not is_count(queue_depth):
         raise ConfigurationError(
             f"queue depth must be a positive integer (got {queue_depth!r})")
     compact = encode_streams(streams)
     _check_replayable(distinct_by_identity(compact)[0])
-    return replay_closed_loop(params, compact, queue_depth, tracer)
+    return IndexMachine(params, compact, tracer).run_closed(queue_depth)
 
 
 def simulate_fleet(params: CostParameters,
@@ -374,12 +375,6 @@ def simulate_fleet(params: CostParameters,
         return _vectorized_open_loop(params, shapes, shape_of, schedule)
     return replay_open_loop(params, compact, _per_client(schedule, compact),
                             tracer)
-
-
-def _is_count(value) -> bool:
-    """Whether ``value`` is a positive integer (``True`` is not one)."""
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool) and value > 0)
 
 
 def _check_replayable(shapes: Sequence[CompactStream]) -> None:
@@ -482,7 +477,7 @@ def fleet_streams_from_template(template, num_clients: int,
     """
     for count in (num_clients, ops_per_client,
                   1 if osd_count is None else osd_count):
-        if not _is_count(count):
+        if not is_count(count):
             raise ConfigurationError(
                 "fleet synthesis needs positive integer client, op and "
                 f"OSD counts (got {count!r})")

@@ -78,7 +78,7 @@ class OpTrace:
 
     Recorded by :class:`~repro.rados.client.IoCtx` while
     :attr:`CostLedger.trace_ops` is enabled; replayed by
-    :mod:`repro.sim.scheduler`.  The first entry of ``visits`` is the
+    :mod:`repro.sim.replay`.  The first entry of ``visits`` is the
     primary; the rest are replicas (writes only).
     """
 

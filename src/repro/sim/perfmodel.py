@@ -20,14 +20,16 @@ next to every figure it produces):
 Simulated elapsed time is the maximum of the two bounds; throughput is
 bytes moved divided by that time.
 
-**Event-driven (accurate path).**  :meth:`PerformanceModel.estimate_events`
-replays the run's recorded operation traces through the discrete-event
-engine (:mod:`repro.sim.scheduler` / :mod:`repro.sim.replay`): per-OSD FIFO
-queues with ``osd_shards`` servers, per-client dispatch/NIC queues, a
-shared backend network, and replication fan-out as chained events.  Queue
-*waiting* — which the analytic bounds cannot express — emerges from the
-replay, which is what makes multiple contending clients, latency
-percentiles and tail behaviour meaningful.  For a single client the two
+**Event-driven (accurate path).**  The run's recorded operation traces
+replay through the discrete-event engine
+(:func:`~repro.sim.fleet.simulate_closed_loop` or, open loop,
+:func:`~repro.sim.fleet.simulate_fleet`) and
+:meth:`PerformanceModel.estimate_from_events` reads the estimate off the
+replay: per-OSD FIFO queues with ``osd_shards`` servers, per-client
+dispatch/NIC queues, a shared backend network, and replication fan-out as
+chained events.  Queue *waiting* — which the analytic bounds cannot
+express — emerges from the replay, which is what makes multiple
+contending clients, latency percentiles and tail behaviour meaningful.  For a single client the two
 paths agree closely (the contention the event engine adds is exactly what
 one closed-loop stream cannot generate); the regression suite holds them
 within 15% on the paper's Fig. 3 workloads.
@@ -51,12 +53,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from .costparams import CostParameters
-from .ledger import (ClientOpTrace, CostLedger, RES_CLIENT_CPU,
-                     RES_CLIENT_NET, RES_CLUSTER_NET, RES_OSD_CPU,
-                     RES_OSD_DEVICE)
-from .scheduler import simulate_client_ops
+from .ledger import (CostLedger, RES_CLIENT_CPU, RES_CLIENT_NET,
+                     RES_CLUSTER_NET, RES_OSD_CPU, RES_OSD_DEVICE)
 from ..errors import ConfigurationError
-from ..util import percentile
+from ..util import is_count, percentile
 
 #: percentiles reported alongside every estimate (keys of
 #: :attr:`PerformanceEstimate.latency_percentiles`).
@@ -125,8 +125,9 @@ class PerformanceModel:
         analytic model has no queueing, so these reflect the service-time
         distribution only).
         """
-        if queue_depth <= 0:
-            raise ConfigurationError("queue depth must be positive")
+        if not is_count(queue_depth):
+            raise ConfigurationError("queue depth must be a positive "
+                                     f"integer (got {queue_depth!r})")
         params = self._params
 
         effective: Dict[str, float] = {}
@@ -169,25 +170,11 @@ class PerformanceModel:
                                  if latencies_us else {}),
         )
 
-    def estimate_events(self, streams: Sequence[Sequence[ClientOpTrace]],
-                        total_bytes: int,
-                        queue_depth: int) -> PerformanceEstimate:
-        """Accurate path: replay recorded op traces through the event engine.
-
-        ``streams`` holds one trace list per client; every client keeps
-        ``queue_depth`` operations in flight against the shared cluster.
-        Elapsed time is the completion timestamp of the last operation;
-        percentiles come from simulated per-request completion latencies,
-        queue waiting included.
-        """
-        result = simulate_client_ops(self._params, streams, queue_depth)
-        return self.estimate_from_events(result, total_bytes)
-
     def estimate_from_events(self, result, total_bytes: int,
                              ) -> PerformanceEstimate:
         """Convert a finished event replay (:class:`EventSimResult`) into an
-        estimate — split out so callers that also need the replay's raw
-        latency samples run the simulation once.
+        estimate; the caller runs the replay, so it keeps the raw latency
+        samples too.
 
         The mean comes from the replay's exact population moments (the
         reservoir tracks count/sum over *every* request, not just the

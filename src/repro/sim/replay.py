@@ -1,4 +1,31 @@
-"""Index-based event machine: the exact replay core.
+"""Event replay of op traces through FIFO queues: the exact index machine.
+
+This is the "accurate path" of the performance model.  Where the analytic
+estimate (:meth:`~repro.sim.perfmodel.PerformanceModel.estimate`) collapses
+a run into two closed-form bounds, the event replay drives the recorded
+operation traces (:class:`~repro.sim.ledger.ClientOpTrace`) through an
+explicit model of the testbed's shared resources:
+
+* every OSD is a FIFO :class:`ServiceQueue` with ``osd_shards`` parallel
+  servers — a transaction occupies one shard for its *service* time
+  (CPU + device channel occupancy) and acknowledges after its
+  critical-path latency,
+* each client stream owns a dispatch-CPU queue and a NIC queue (one
+  server each — one fio process on one link),
+* the backend network is one shared queue through which every replication
+  push passes,
+* replication fans out as chained events: the client's dispatch event
+  schedules an arrival at the primary and, per replica, a push through the
+  backend network followed (one hop later) by an arrival at the replica's
+  queue; the op acknowledges when the slowest replica has committed.
+
+Closed loop, each client keeps ``queue_depth`` operations in flight (like
+fio): a completion immediately issues the stream's next operation.  Open
+loop, operations are *issued at exogenous arrival timestamps* instead,
+which is what fleet-scale arrival processes (Poisson, trace-driven) need.
+With several streams the queues are *shared*, so contention — queue
+waiting, rising tail latency, sub-linear aggregate bandwidth — emerges
+from the replay rather than being postulated.
 
 The machine walks :class:`~repro.sim.compact.CompactStream` columns, not
 ``ClientOpTrace`` objects.  The hot loop allocates no closures and no
@@ -12,15 +39,16 @@ of the per-op closure scheduler this machine replaced in PR 24, call for
 call: any closed-loop replay reproduces that scheduler's elapsed times,
 latencies, queue accounting and spans bit for bit, pinned by the digests
 the scheduler itself wrote (the ``closed/`` lines of
-``tests/golden/transcript.sha256``).
-On top of that it adds the open-loop mode: operations are *issued at
-exogenous arrival timestamps* instead of being re-armed by completions,
-which is what fleet-scale arrival processes (Poisson, trace-driven) need.
+``tests/golden/transcript.sha256``).  The replay is entered through
+:mod:`repro.sim.fleet` (``simulate_closed_loop``, ``simulate_fleet``),
+which validates its inputs; :mod:`repro.sim.fleet`'s vectorized scans
+are the machine's open-loop fast path.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -28,10 +56,105 @@ import numpy as np
 from .compact import CompactStream, distinct_by_identity
 from .costparams import CostParameters
 from .reservoir import CLIENT_RESERVOIR_CAPACITY, LatencyReservoir
-from .scheduler import EventSimResult, ServiceQueue, bounding_resource
 from ..errors import ConfigurationError
 from ..obs.names import OP_KINDS
 from ..obs.spans import SpanTracer
+
+
+class ServiceQueue:
+    """A FIFO service station with ``servers`` parallel servers.
+
+    Jobs must be submitted in arrival-time order — the event loop is what
+    guarantees it in practice, but the queue *enforces* it (an
+    out-of-order submission would silently compute a negative wait and
+    corrupt the FIFO start times, so it raises instead).  Each job takes
+    the earliest-free server, so waiting time is ``start - arrival`` and
+    the queue is work-conserving.
+    """
+
+    def __init__(self, name: str, servers: int = 1) -> None:
+        if servers <= 0:
+            raise ConfigurationError("a service queue needs >= 1 server")
+        self.name = name
+        self.servers = servers
+        self._free_at: List[float] = [0.0] * servers
+        heapq.heapify(self._free_at)
+        self._last_arrival_us = float("-inf")
+        self.busy_us = 0.0
+        self.jobs = 0
+        self.wait_us = 0.0
+
+    def submit(self, now: float, service_us: float) -> "QueuedJob":
+        """Serve a job arriving at ``now``; returns its start/end times."""
+        if service_us < 0:
+            raise ConfigurationError("service time must be non-negative")
+        if now < self._last_arrival_us:
+            raise ConfigurationError(
+                f"queue {self.name}: job arriving at {now:.3f} us is earlier "
+                f"than the previous arrival at {self._last_arrival_us:.3f} us; "
+                f"FIFO queues need non-decreasing arrival times")
+        self._last_arrival_us = now
+        free_at = heapq.heappop(self._free_at)
+        start = max(now, free_at)
+        end = start + service_us
+        heapq.heappush(self._free_at, end)
+        self.busy_us += service_us
+        self.jobs += 1
+        self.wait_us += start - now
+        return QueuedJob(start_us=start, end_us=end)
+
+    def utilization(self, elapsed_us: float) -> float:
+        """Fraction of server time kept busy over ``elapsed_us``."""
+        if elapsed_us <= 0:
+            return 0.0
+        return self.busy_us / (self.servers * elapsed_us)
+
+
+@dataclass(frozen=True)
+class QueuedJob:
+    """Start and end of one job's stay on a queue's server."""
+
+    start_us: float
+    end_us: float
+
+
+@dataclass
+class EventSimResult:
+    """Everything the event replay measured.
+
+    Latency populations are carried as :class:`LatencyReservoir` objects
+    (exact count/mean/max, reservoir-sampled percentiles) so memory stays
+    O(1) in the operation count; a reservoir's ``sample`` is the full
+    population, in completion order, for runs below its capacity.
+    """
+
+    elapsed_us: float
+    requests: int
+    op_stats: LatencyReservoir = field(default_factory=LatencyReservoir)
+    request_stats: LatencyReservoir = field(default_factory=LatencyReservoir)
+    #: per-client request-latency reservoirs, indexed by stream
+    client_request_stats: List[LatencyReservoir] = field(default_factory=list)
+    resource_us: Dict[str, float] = field(default_factory=dict)
+    bounding_resource: str = "latency(qd)"
+    events_processed: int = 0
+    queue_wait_us: Dict[str, float] = field(default_factory=dict)
+    #: which path produced the result ("compact", the index machine, or
+    #: "vectorized", its open-loop scans), recorded so tests can assert it
+    engine: str = "compact"
+
+
+def bounding_resource(params: CostParameters, resource_us: Dict[str, float],
+                      elapsed_us: float, open_loop: bool) -> str:
+    """What paced a replay: its busiest resource, unless none was
+    near-saturated (busy below ``params.saturation_threshold`` of the
+    elapsed time, the analytic estimate's labelling discipline) — then
+    operation latency at the configured depth, like the analytic latency
+    bound, or the open-loop arrival process."""
+    bounding = max(resource_us, key=lambda k: resource_us[k])
+    if resource_us[bounding] < params.saturation_threshold * elapsed_us:
+        return "arrival(open-loop)" if open_loop else "latency(qd)"
+    return bounding
+
 
 # Event codes (payload meanings in parentheses).
 _ISSUE = 0      # closed-loop: issue a client's next op       (client, -)
@@ -42,7 +165,7 @@ _ACK = 4        # one OSD visit acknowledged                  (flight, -)
 _CHAIN = 5      # continue an op's serial RADOS chain         (client, flight)
 
 
-class _Replay:
+class IndexMachine:
     """One single-use replay of compact streams (closed- or open-loop)."""
 
     def __init__(self, params: CostParameters,
@@ -240,24 +363,11 @@ class _Replay:
     def run_open(self, arrivals_us: Sequence[Sequence[float]],
                  ) -> EventSimResult:
         self._closed_loop = False
-        issues = []
-        for client, stream in enumerate(self._streams):
-            arrivals = arrivals_us[client]
-            if len(arrivals) != stream.num_ops:
-                raise ConfigurationError(
-                    f"client {client}: {len(arrivals)} arrival timestamps "
-                    f"for {stream.num_ops} operations")
-            last = float("-inf")
-            for op, when in enumerate(arrivals):
-                when = float(when)
-                if when < last:
-                    raise ConfigurationError(
-                        "arrival timestamps must be sorted per client")
-                last = when
-                issues.append((when, client, op))
         # Sequence numbers follow (time, client, op) order so ties at any
         # downstream queue break identically to the vectorized engine.
-        issues.sort()
+        issues = sorted((float(when), client, op)
+                        for client, arrivals in enumerate(arrivals_us)
+                        for op, when in enumerate(arrivals))
         for when, client, op in issues:
             self._schedule(when, _ISSUE_AT, client, op)
         return self._result(max(self._drain(), 1e-6), open_loop=True)
@@ -289,20 +399,18 @@ class _Replay:
         )
 
 
-def replay_closed_loop(params: CostParameters,
-                       streams: Sequence[CompactStream],
-                       queue_depth: int,
-                       tracer: Optional[SpanTracer] = None) -> EventSimResult:
-    """Closed-loop compact replay (one fresh machine per call)."""
-    return _Replay(params, streams, tracer).run_closed(queue_depth)
-
-
 def replay_open_loop(params: CostParameters,
                      streams: Sequence[CompactStream],
                      arrivals_us: Sequence[Sequence[float]],
                      tracer: Optional[SpanTracer] = None) -> EventSimResult:
-    """Open-loop compact replay: ops issue at the given timestamps."""
-    return _Replay(params, streams, tracer).run_open(arrivals_us)
+    """Open-loop compact replay: ops issue at the given timestamps.
+
+    The inputs are taken as checked: one sorted arrival sequence per
+    stream, one timestamp per op (:func:`repro.sim.fleet.simulate_fleet`
+    checks them before it picks an engine).  Calling this directly forces
+    the index machine where ``simulate_fleet`` would take the scans.
+    """
+    return IndexMachine(params, streams, tracer).run_open(arrivals_us)
 
 
 def has_serial_chains(streams: Sequence[CompactStream]) -> bool:
@@ -316,15 +424,5 @@ def has_serial_chains(streams: Sequence[CompactStream]) -> bool:
     return any(np.diff(array).max(initial=0) > 1 for array in offsets)
 
 
-def total_ops(streams: Sequence[CompactStream]) -> int:
-    """Client-visible op count across streams."""
-    return sum(stream.num_ops for stream in streams)
-
-
-def total_requests(streams: Sequence[CompactStream]) -> int:
-    """Client request count across streams (batch windows expanded)."""
-    return sum(stream.total_requests for stream in streams)
-
-
-__all__ = ["replay_closed_loop", "replay_open_loop", "has_serial_chains",
-           "total_ops", "total_requests"]
+__all__ = ["ServiceQueue", "QueuedJob", "EventSimResult", "bounding_resource",
+           "IndexMachine", "replay_open_loop", "has_serial_chains"]

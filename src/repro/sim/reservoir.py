@@ -1,9 +1,9 @@
 """O(1)-memory latency statistics: reservoir-sampled percentiles.
 
 The event replay used to keep one Python float per simulated request in
-``op_latencies_us`` / ``request_latencies_us``; at fleet scale (1,000
-clients, millions of requests) those lists dominate memory and garbage-
-collection time.  :class:`LatencyReservoir` replaces them: exact count,
+per-op and per-request latency lists; at fleet scale (1,000 clients,
+millions of requests) those lists dominate memory and garbage-collection
+time.  :class:`LatencyReservoir` replaces them: exact count,
 mean, min and max over *every* recorded value, plus a fixed-capacity
 uniform sample (Vitter's Algorithm R) from which percentiles are read.
 

@@ -248,14 +248,15 @@ def format_size(num_bytes: int) -> str:
     raise AssertionError("unreachable")
 
 
-def int_to_le_bytes(value: int, length: int) -> bytes:
-    """Pack an unsigned integer little-endian into ``length`` bytes."""
-    return value.to_bytes(length, "little")
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer (``True`` is not one)."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
 
 
-def le_bytes_to_int(data: bytes) -> int:
-    """Unpack a little-endian unsigned integer."""
-    return int.from_bytes(data, "little")
+def is_count(value) -> bool:
+    """Whether ``value`` is a positive integer (``True`` is not one)."""
+    return is_integer(value) and value > 0
 
 
 def hexdump(data: bytes, width: int = 16) -> str:

@@ -15,7 +15,6 @@ from .arrival import (ArrivalProcess, PoissonArrivals, TraceArrivals,
                       arrival_process_for, arrival_schedule)
 from .runner import (WorkloadResult, WorkloadRunner, capture_template_stream,
                      prefill_image)
-from .cluster_runner import ClusterWorkloadResult, ClusterWorkloadRunner
 
 __all__ = [
     "IORequest", "WorkloadSpec", "PAPER_IO_SIZES", "generate_requests",
@@ -23,5 +22,4 @@ __all__ = [
     "arrival_process_for", "arrival_schedule",
     "WorkloadResult", "WorkloadRunner", "prefill_image",
     "capture_template_stream",
-    "ClusterWorkloadResult", "ClusterWorkloadRunner",
 ]

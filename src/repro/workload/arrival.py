@@ -7,7 +7,7 @@ as queueing collapse.  Fleet traffic is not closed-loop: a thousand
 tenants issue IO on their own schedules, indifferent to each other's
 completions.  An :class:`ArrivalProcess` models that: it assigns each
 client a sorted timestamp array saying when its operations issue, and
-the event replay (:func:`repro.sim.scheduler.simulate_open_loop`) starts
+the event replay (:func:`repro.sim.fleet.simulate_fleet`) starts
 op ``j`` of client ``i`` at ``timestamps[i][j]`` regardless of what is
 still in flight.  Under overload the queues grow without bound and the
 tail percentiles say so — which is the regime the paper's multi-client

@@ -36,9 +36,9 @@ from ..engine.pipeline import EngineConfig, IoPipeline
 from ..errors import WorkloadError
 from ..rados.cluster import Cluster
 from ..rbd.wrapper import ImageLike
+from ..sim.fleet import simulate_closed_loop, simulate_fleet
 from ..sim.ledger import ClientOpTrace, CostLedger
 from ..sim.perfmodel import PerformanceEstimate, PerformanceModel
-from ..sim.scheduler import simulate_client_ops, simulate_open_loop
 from ..util import MIB
 
 
@@ -349,18 +349,18 @@ class WorkloadRunner:
                 arrivals = arrival_schedule(
                     arrival_process_for(spec),
                     [len(stream) for stream in traces])
-                sim = simulate_open_loop(self._cluster.params, traces,
-                                         arrivals, tracer=self._tracer)
+                sim = simulate_fleet(self._cluster.params, traces,
+                                     arrivals, tracer=self._tracer)
             else:
-                sim = simulate_client_ops(self._cluster.params, traces,
-                                          model_depth, tracer=self._tracer)
+                sim = simulate_closed_loop(self._cluster.params, traces,
+                                           model_depth, tracer=self._tracer)
             estimate = self._model.estimate_from_events(sim, total_bytes)
             # Report the simulated completion latencies (queue waiting
             # included) so the samples agree with the percentiles the
             # estimate carries, instead of the queueing-free receipts.
-            latencies = list(sim.request_latencies_us)
-            per_client_latencies = [list(sample) for sample in
-                                    sim.client_request_latencies_us]
+            latencies = list(sim.request_stats.sample)
+            per_client_latencies = [list(stats.sample) for stats in
+                                    sim.client_request_stats]
         else:
             if self._tracer is not None:
                 from ..obs.spans import spans_from_client_ops
@@ -380,11 +380,6 @@ class WorkloadRunner:
             counters=dict(delta.counters), latencies_us=latencies,
             num_clients=spec.num_clients,
             per_client_latencies_us=per_client_latencies)
-
-    def run_many(self, image: ImageLike, specs: List[WorkloadSpec],
-                 layout_name: Optional[str] = None) -> List[WorkloadResult]:
-        """Run several specs back to back against the same image."""
-        return [self.run(image, spec, layout_name) for spec in specs]
 
     @staticmethod
     def _layout_of(image: ImageLike) -> str:

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blockdev.device import EXTENT_BYTES, SimulatedDisk
-from repro.blockdev.trace import IOTrace
 from repro.errors import DeviceError, OutOfRangeError
 from repro.sim.costparams import CostParameters
 from repro.sim.ledger import CostLedger, RES_OSD_DEVICE
 
 
-def make_disk(capacity=1024 * 1024, ledger=None, trace=None, **param_overrides):
+def make_disk(capacity=1024 * 1024, ledger=None, **param_overrides):
     params = CostParameters(**param_overrides) if param_overrides else CostParameters()
-    return SimulatedDisk("test/dev0", capacity, params, ledger, trace)
+    return SimulatedDisk("test/dev0", capacity, params, ledger)
 
 
 class TestFunctionalBehaviour:
@@ -118,8 +117,7 @@ class TestFunctionalBehaviour:
 
     def test_peek_returns_stored_bytes_without_accounting(self):
         ledger = CostLedger()
-        trace = IOTrace()
-        disk = make_disk(ledger=ledger, trace=trace)
+        disk = make_disk(ledger=ledger)
         disk.write(4000, b"Z" * 200)
         stats, counters = disk.stats.as_dict(), dict(ledger.counters)
         busy = dict(ledger.resource_us)
@@ -127,7 +125,6 @@ class TestFunctionalBehaviour:
         assert disk.peek(512 * 1024, 16) == bytes(16)
         assert disk.stats.as_dict() == stats
         assert ledger.counters == counters and ledger.resource_us == busy
-        assert len(trace) == 1
         with pytest.raises(OutOfRangeError):
             disk.peek(1024 * 1024 - 4, 8)
 
@@ -262,35 +259,6 @@ class TestCostAccounting:
         disk = make_disk(ledger=None)
         disk.write(0, b"no ledger")
         assert disk.read(0, 9).data == b"no ledger"
-
-class TestTrace:
-    def test_operations_are_traced(self):
-        trace = IOTrace()
-        disk = make_disk(trace=trace)
-        disk.write(0, bytes(4096))
-        disk.read(0, 100)
-        assert len(trace) == 2
-        assert trace.filter(op="write")[0].sectors == 1
-        assert "read" in trace.render()
-
-    def test_trace_limit_counts_drops(self):
-        trace = IOTrace(limit=2)
-        disk = make_disk(trace=trace)
-        for _ in range(5):
-            disk.read(0, 10)
-        assert len(trace) == 2
-        assert trace.dropped == 3
-
-    def test_trace_filter_by_device(self):
-        trace = IOTrace()
-        disk = make_disk(trace=trace)
-        disk.read(0, 10)
-        assert trace.filter(device="test/dev0")
-        assert not trace.filter(device="other")
-
-    def test_invalid_limit(self):
-        with pytest.raises(ValueError):
-            IOTrace(limit=0)
 
 class TestProperties:
     @given(offset=st.integers(min_value=0, max_value=60_000),

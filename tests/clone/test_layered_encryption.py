@@ -8,7 +8,6 @@ from repro.attacks import compare_clone_layers, key_isolation_report
 from repro.cache import CacheConfig, CachedImage
 from repro.clone import open_layered_image
 from repro.errors import CloneError, PassphraseError
-from repro.workload.cluster_runner import ClusterWorkloadRunner
 from repro.workload.runner import WorkloadRunner
 from repro.workload.spec import WorkloadSpec
 from repro.util import KIB, MIB
@@ -228,8 +227,8 @@ class TestCloneIntegration:
                 < control_result.bandwidth_mbps)
 
     def test_cluster_runner_fanout(self, cluster):
-        """Per-client clones of one golden image through the
-        ClusterWorkloadRunner (the boot-storm harness)."""
+        """Per-client clones of one golden image through
+        ``WorkloadRunner.run_streams`` (the boot-storm harness)."""
         from repro.clone import clone_fanout
         from repro.workload.runner import prefill_image
 
@@ -248,8 +247,8 @@ class TestCloneIntegration:
         spec = WorkloadSpec(name="storm", rw="randread", io_size=4 * KIB,
                             queue_depth=4, io_count=24, seed=9, num_clients=3,
                             parent_image="golden")
-        result = ClusterWorkloadRunner(cluster).run(clones, spec,
-                                                    layout_name="object-end")
+        result = WorkloadRunner(cluster).run_streams(
+            clones, spec, layout_name="object-end")
         assert result.counter("clone.parent_reads") > 0
         assert result.bandwidth_mbps > 0
         assert "clone-of=golden" in spec.describe()

@@ -22,9 +22,9 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults import (EC_KILL_STAGES, OsdFaultPlan,
-                          REPLICATED_KILL_STAGES, active_osd_fault,
-                          inject_osd_fault, osd_kill_due)
+from repro.faults import (ALL_STAGES, EC_KILL_STAGES, OSD_KILL_STAGES,
+                          REPLICATED_KILL_STAGES, STAGE_MID_DRAIN, FaultPlan,
+                          active_plan, crash_point, inject, osd_kill_due)
 from repro.faults.drill import run_failure_drill
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0") or "0")
@@ -104,18 +104,24 @@ def test_drill_exercises_degraded_path():
     assert 0 < p50 <= p95 <= p99
 
 
-class TestOsdFaultPlan:
+class TestOsdKillPlans:
+    """An OSD kill is a :class:`FaultPlan` armed at an OSD-kill stage."""
+
     def test_unknown_stage_rejected(self):
         with pytest.raises(ConfigurationError):
-            OsdFaultPlan(stage="kill-the-moon")
+            FaultPlan(stage="kill-the-moon")
+
+    def test_every_stage_of_both_vocabularies_arms(self):
+        for stage in ALL_STAGES + OSD_KILL_STAGES:
+            assert FaultPlan(stage=stage).stage == stage
 
     def test_hit_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            OsdFaultPlan(stage="kill-primary-mid-txn", hit=0)
+            FaultPlan(stage="kill-primary-mid-txn", hit=0)
 
     def test_fires_once_at_the_armed_hit(self):
-        plan = OsdFaultPlan(stage="kill-replica-mid-txn", hit=3)
-        with inject_osd_fault(plan):
+        plan = FaultPlan(stage="kill-replica-mid-txn", hit=3)
+        with inject(plan):
             assert not osd_kill_due("kill-replica-mid-txn", 7)
             assert not osd_kill_due("kill-primary-mid-txn", 7)  # other stage
             assert not osd_kill_due("kill-replica-mid-txn", 7)
@@ -125,19 +131,29 @@ class TestOsdFaultPlan:
                 "a fired plan must never fire again"
 
     def test_inject_nesting_restores_previous(self):
-        outer = OsdFaultPlan(stage="kill-primary-mid-txn")
-        inner = OsdFaultPlan(stage="kill-during-backfill")
-        with inject_osd_fault(outer):
-            with inject_osd_fault(inner):
-                assert active_osd_fault() is inner
-            assert active_osd_fault() is outer
-        assert active_osd_fault() is None
+        outer = FaultPlan(stage="kill-primary-mid-txn")
+        inner = FaultPlan(stage="kill-during-backfill")
+        with inject(outer):
+            with inject(inner):
+                assert active_plan() is inner
+            assert active_plan() is outer
+        assert active_plan() is None
+
+    def test_a_kill_plan_and_a_crash_plan_ignore_each_others_sites(self):
+        kill = FaultPlan(stage="kill-primary-mid-txn")
+        with inject(kill):
+            crash_point(STAGE_MID_DRAIN)            # no ClientCrash
+        assert kill.hits_seen == 0 and not kill.fired
+        crash = FaultPlan(stage=STAGE_MID_DRAIN)
+        with inject(crash):
+            assert not osd_kill_due("kill-primary-mid-txn", 3)
+        assert crash.hits_seen == 0 and crash.victim is None
 
     def test_no_plan_means_no_kill(self):
         assert not osd_kill_due("kill-primary-mid-txn", 0)
 
     def test_random_plan_is_seed_deterministic(self):
-        a = OsdFaultPlan.random_plan("kill-primary-mid-txn", 42)
-        b = OsdFaultPlan.random_plan("kill-primary-mid-txn", 42)
+        a = FaultPlan.random_plan("kill-primary-mid-txn", 42)
+        b = FaultPlan.random_plan("kill-primary-mid-txn", 42)
         assert a.hit == b.hit
         assert 1 <= a.hit <= 8

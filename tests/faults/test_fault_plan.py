@@ -1,7 +1,10 @@
 """Unit tests of the fault-plan machinery (repro.faults.plan)."""
 
+import dataclasses
+
 import pytest
 
+from repro import faults
 from repro.errors import ConfigurationError
 from repro.faults import (ALL_STAGES, CRASH_STAGES, ClientCrash, FaultPlan,
                           STAGE_MID_DRAIN, STAGE_PRE_LOG_APPEND,
@@ -25,6 +28,15 @@ def test_unknown_stage_rejected():
 def test_hit_must_be_positive():
     with pytest.raises(ConfigurationError):
         FaultPlan(stage=STAGE_MID_DRAIN, hit=0)
+
+
+def test_one_plan_class_with_four_settable_values():
+    """Client crashes and OSD kills share the plan; its firing state is
+    the plan's own."""
+    assert [field.name for field in dataclasses.fields(FaultPlan)
+            if field.init] == ["stage", "hit", "torn_keep", "seed"]
+    assert not {"OsdFaultPlan", "inject_osd_fault",
+                "active_osd_fault"} & set(dir(faults))
 
 
 def test_no_active_plan_outside_inject():

@@ -26,8 +26,8 @@ import pytest
 from repro.obs import SpanTracer, span_sort_key, spans_from_client_ops
 from repro.obs.names import (KIND_BACKFILL, KIND_READ, KIND_WRITE)
 from repro.sim.costparams import CostParameters
+from repro.sim.fleet import simulate_closed_loop
 from repro.sim.ledger import ClientOpTrace, OpTrace, OsdVisit
-from repro.sim.scheduler import simulate_client_ops
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 QUEUE_DEPTH = 1  # serial per client: keeps the RMW chain visually serial
@@ -82,7 +82,7 @@ def events_tracer() -> SpanTracer:
     params = CostParameters()
     tracer = SpanTracer()
     streams = [pinned_stream(), pinned_stream()]
-    result = simulate_client_ops(params, streams, QUEUE_DEPTH, tracer=tracer)
+    result = simulate_closed_loop(params, streams, QUEUE_DEPTH, tracer=tracer)
     # the golden covers the result too: elapsed time is part of the pin
     assert result.requests == sum(cop.requests for cop in pinned_stream()) * 2
     return tracer

@@ -10,8 +10,8 @@ from repro.obs.names import (KIND_BACKFILL, KIND_CACHE_HIT, KIND_EC_REPAIR,
                              KIND_WRITE, OP_KINDS)
 from repro.sim.compact import encode_stream
 from repro.sim.costparams import CostParameters
+from repro.sim.fleet import simulate_closed_loop
 from repro.sim.ledger import ClientOpTrace, OpTrace, OsdVisit
-from repro.sim.scheduler import simulate_client_ops
 
 
 def op_of(kind: str, retries: int = 0) -> ClientOpTrace:
@@ -63,11 +63,11 @@ class TestCompactEncoding:
 class TestEngineRejection:
     def test_event_engine_rejects_unknown_kinds(self):
         with pytest.raises(ConfigurationError, match="unknown OpTrace kind"):
-            simulate_client_ops(CostParameters(), [[op_of("bogus-kind")]], 1)
+            simulate_closed_loop(CostParameters(), [[op_of("bogus-kind")]], 1)
 
     def test_event_engine_accepts_every_declared_kind(self):
         ops = [op_of(kind) for kind in OP_KINDS]
-        result = simulate_client_ops(CostParameters(), [ops], 1)
+        result = simulate_closed_loop(CostParameters(), [ops], 1)
         assert result.requests == len(OP_KINDS)
 
 

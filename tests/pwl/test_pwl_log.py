@@ -5,6 +5,7 @@ import pytest
 from repro.faults import FaultPlan, ClientCrash, STAGE_TORN_LOG_TAIL, inject
 from repro.pwl import (PersistentWriteLog, PwlMedia, PwlReplayError,
                        decode_pwl_record, encode_pwl_record)
+from repro.sim.costparams import CostParameters
 
 
 def test_record_roundtrip():
@@ -106,3 +107,10 @@ def test_append_cost_uses_pwl_parameters():
     log = PersistentWriteLog(PwlMedia(), params=Params())
     cost = log.append_cost_us(1024 * 1024)
     assert cost == pytest.approx(10.0 + 1_000_000.0)
+
+
+def test_append_cost_defaults_to_the_cost_parameters():
+    params = CostParameters()
+    cost = PersistentWriteLog(PwlMedia()).append_cost_us(1024 * 1024)
+    assert cost == pytest.approx(params.pwl_append_latency_us
+                                 + 1e6 / params.pwl_bandwidth_mbps)

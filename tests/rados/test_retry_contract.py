@@ -11,8 +11,7 @@ import pytest
 
 from repro.errors import DegradedClusterError
 from repro.faults.plan import (STAGE_KILL_EC_SHARD_MID_TXN,
-                               STAGE_KILL_PRIMARY_MID_TXN, OsdFaultPlan,
-                               inject_osd_fault)
+                               STAGE_KILL_PRIMARY_MID_TXN, FaultPlan, inject)
 from repro.rados import (Cluster, ClusterConfig, ReadOperation,
                          WriteTransaction)
 
@@ -52,8 +51,8 @@ class TestRetryContract:
         cluster, ioctx, pool = _open(ec)
         ledger, params = cluster.ledger, cluster.params
         ledger.take_open_traces()
-        plan = OsdFaultPlan(stage=stage, hit=1)
-        with inject_osd_fault(plan):
+        plan = FaultPlan(stage=stage, hit=1)
+        with inject(plan):
             receipt = _overwrite(ioctx)
         assert plan.fired
         assert plan.victim == cluster.up_set(pool, "obj")[0]

@@ -24,10 +24,9 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.sim.compact import encode_stream
 from repro.sim.costparams import CostParameters
-from repro.sim.fleet import fleet_streams_from_template, simulate_fleet
-from repro.sim.replay import replay_open_loop
-from repro.sim.scheduler import (ServiceQueue, simulate_client_ops,
-                                 simulate_open_loop)
+from repro.sim.fleet import (fleet_streams_from_template,
+                             simulate_closed_loop, simulate_fleet)
+from repro.sim.replay import ServiceQueue, replay_open_loop
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
@@ -71,7 +70,7 @@ class TestOpenLoopEquivalence:
     def test_vectorized_matches_index_machine(self):
         streams = _open_loop_streams()
         arrivals = _arrivals(streams)
-        vectorized = simulate_open_loop(_params(), streams, arrivals)
+        vectorized = simulate_fleet(_params(), streams, arrivals)
         indexed = replay_open_loop(
             _params(), [encode_stream(s) for s in streams], arrivals)
         assert vectorized.engine == "vectorized"
@@ -87,27 +86,27 @@ class TestOpenLoopEquivalence:
         for key, value in indexed.queue_wait_us.items():
             assert vectorized.queue_wait_us[key] == pytest.approx(value,
                                                                   abs=1e-9)
-        assert (sorted(vectorized.op_latencies_us)
-                == pytest.approx(sorted(indexed.op_latencies_us), abs=1e-9))
-        assert (sorted(vectorized.request_latencies_us)
-                == pytest.approx(sorted(indexed.request_latencies_us),
+        assert (sorted(vectorized.op_stats.sample)
+                == pytest.approx(sorted(indexed.op_stats.sample), abs=1e-9))
+        assert (sorted(vectorized.request_stats.sample)
+                == pytest.approx(sorted(indexed.request_stats.sample),
                                  abs=1e-9))
 
     def test_serial_chains_fall_back_to_index_machine(self):
         streams = [[_rmw(0, i, primary=i % 4) for i in range(6)]]
         arrivals = _arrivals(streams)
-        result = simulate_open_loop(_params(), streams, arrivals)
+        result = simulate_fleet(_params(), streams, arrivals)
         assert result.engine == "compact"
         assert result.requests == 6
 
     def test_arrival_validation(self):
         streams = _open_loop_streams(num_clients=1, ops_per_client=3)
         with pytest.raises(ConfigurationError):
-            simulate_open_loop(_params(), streams, [[1.0, 2.0]])
+            simulate_fleet(_params(), streams, [[1.0, 2.0]])
         with pytest.raises(ConfigurationError):
-            simulate_open_loop(_params(), streams, [[3.0, 2.0, 1.0]])
+            simulate_fleet(_params(), streams, [[3.0, 2.0, 1.0]])
         with pytest.raises(ConfigurationError):
-            simulate_open_loop(_params(), streams, [[1.0, 2.0, 3.0], [4.0]])
+            simulate_fleet(_params(), streams, [[1.0, 2.0, 3.0], [4.0]])
 
 
 class TestFleetSynthesis:
@@ -155,19 +154,19 @@ class TestSaturationThreshold:
 
     def test_threshold_decides_bounding_label(self):
         streams = _mixed_streams(num_clients=2, ops_per_client=10)
-        strict = simulate_client_ops(
+        strict = simulate_closed_loop(
             _params(saturation_threshold=1.0), streams, 8)
         assert strict.bounding_resource == "latency(qd)"
-        lax = simulate_client_ops(
+        lax = simulate_closed_loop(
             _params(saturation_threshold=1e-9), streams, 8)
         assert lax.bounding_resource in strict.resource_us
 
     def test_threshold_decides_open_loop_label(self):
         streams = _open_loop_streams(num_clients=2, ops_per_client=8)
         arrivals = _arrivals(streams, gap_us=5000.0)
-        result = simulate_open_loop(
+        result = simulate_fleet(
             _params(saturation_threshold=1.0), streams, arrivals)
         assert result.bounding_resource == "arrival(open-loop)"
-        lax = simulate_open_loop(
+        lax = simulate_fleet(
             _params(saturation_threshold=1e-9), streams, arrivals)
         assert lax.bounding_resource in result.resource_us

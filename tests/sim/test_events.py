@@ -6,7 +6,8 @@ from repro.errors import ConfigurationError
 from repro.sim.costparams import CostParameters
 from repro.sim.ledger import ClientOpTrace, CostLedger, OpTrace, OsdVisit
 from repro.sim.perfmodel import PerformanceModel, latency_percentiles
-from repro.sim.scheduler import ServiceQueue, simulate_client_ops
+from repro.sim.fleet import simulate_closed_loop
+from repro.sim.replay import ServiceQueue
 
 
 def read_op(osd_id, service_us=10.0, latency_us=50.0, client=0, requests=1,
@@ -60,84 +61,85 @@ class TestServiceQueue:
             ServiceQueue("q").submit(0.0, -1.0)
 
 
-class TestClusterScheduler:
+class TestClosedLoopReplay:
     def test_single_op_latency_matches_receipt_shape(self):
         params = CostParameters()
-        result = simulate_client_ops(params, [[read_op(0)]], queue_depth=1)
+        result = simulate_closed_loop(params, [[read_op(0)]], queue_depth=1)
         # cpu 5 + net 2 + rtt/2 45 + osd latency 50 + rtt/2 45 = 147
         assert result.elapsed_us == pytest.approx(147.0)
-        assert result.op_latencies_us == [pytest.approx(147.0)]
+        assert result.op_stats.sample == [pytest.approx(147.0)]
         assert result.requests == 1
 
     def test_queue_depth_overlaps_ops(self):
         params = CostParameters()
         ops = [read_op(0) for _ in range(8)]
-        serial = simulate_client_ops(params, [list(ops)], queue_depth=1)
-        deep = simulate_client_ops(params, [list(ops)], queue_depth=8)
+        serial = simulate_closed_loop(params, [list(ops)], queue_depth=1)
+        deep = simulate_closed_loop(params, [list(ops)], queue_depth=8)
         assert deep.elapsed_us < serial.elapsed_us / 3
 
     def test_replication_waits_for_slowest_replica(self):
         params = CostParameters()
-        lone = simulate_client_ops(params, [[write_op(0)]], 1)
-        fanned = simulate_client_ops(params, [[write_op(0, replicas=(1, 2))]],
-                                     1)
+        lone = simulate_closed_loop(params, [[write_op(0)]], 1)
+        fanned = simulate_closed_loop(
+            params, [[write_op(0, replicas=(1, 2))]], 1)
         # replica path adds push + hop latency on the critical path
         assert fanned.elapsed_us > lone.elapsed_us + 40.0
 
     def test_contending_clients_wait_in_osd_queue(self):
         params = CostParameters()
-        one = simulate_client_ops(
+        one = simulate_closed_loop(
             params, [[read_op(0, service_us=30.0) for _ in range(16)]], 4)
-        shared = simulate_client_ops(
+        shared = simulate_closed_loop(
             params, [[read_op(0, service_us=30.0, client=c)
                       for _ in range(16)] for c in range(4)], 4)
         # 4x the work on one OSD cannot finish in anything close to 1x time
         assert shared.elapsed_us > 2.5 * one.elapsed_us
-        p99_one = latency_percentiles(one.request_latencies_us)["p99"]
-        p99_shared = latency_percentiles(shared.request_latencies_us)["p99"]
+        p99_one = latency_percentiles(one.request_stats.sample)["p99"]
+        p99_shared = latency_percentiles(shared.request_stats.sample)["p99"]
         assert p99_shared > p99_one
 
     def test_serial_chain_within_visible_op(self):
         params = CostParameters()
         rmw = ClientOpTrace(client=0, requests=1, traces=[
             read_op(0).traces[0], write_op(0).traces[0]])
-        result = simulate_client_ops(params, [[rmw]], 1)
-        single = simulate_client_ops(params, [[read_op(0)]], 1)
+        result = simulate_closed_loop(params, [[rmw]], 1)
+        single = simulate_closed_loop(params, [[read_op(0)]], 1)
         assert result.elapsed_us > single.elapsed_us + 90.0  # second RTT
 
     def test_batched_requests_amortize_latency(self):
         params = CostParameters()
         window = read_op(0, requests=4)
-        result = simulate_client_ops(params, [[window]], 1)
+        result = simulate_closed_loop(params, [[window]], 1)
         assert result.requests == 4
-        assert len(result.request_latencies_us) == 4
-        assert result.request_latencies_us[0] == pytest.approx(
-            result.op_latencies_us[0] / 4)
+        assert len(result.request_stats.sample) == 4
+        assert result.request_stats.sample[0] == pytest.approx(
+            result.op_stats.sample[0] / 4)
 
     def test_rejects_empty_runs(self):
         params = CostParameters()
         with pytest.raises(ConfigurationError):
-            simulate_client_ops(params, [[]], 1)
+            simulate_closed_loop(params, [[]], 1)
         with pytest.raises(ConfigurationError):
-            simulate_client_ops(params, [[read_op(0)]], queue_depth=0)
+            simulate_closed_loop(params, [[read_op(0)]], queue_depth=0)
 
     def test_osd_shards_add_parallelism(self):
-        narrow = simulate_client_ops(
+        narrow = simulate_closed_loop(
             CostParameters(osd_shards=1),
             [[read_op(0, service_us=40.0) for _ in range(16)]], 16)
-        wide = simulate_client_ops(
+        wide = simulate_closed_loop(
             CostParameters(osd_shards=4),
             [[read_op(0, service_us=40.0) for _ in range(16)]], 16)
         assert wide.elapsed_us < narrow.elapsed_us
 
 
-class TestEstimateEvents:
-    def test_estimate_events_reports_percentiles(self):
+class TestEstimateFromEvents:
+    def test_an_event_estimate_reports_percentiles(self):
         params = CostParameters()
         model = PerformanceModel(params)
         stream = [read_op(0) for _ in range(20)]
-        estimate = model.estimate_events([stream], total_bytes=20 * 4096,
-                                         queue_depth=4)
+        estimate = model.estimate_from_events(
+            simulate_closed_loop(params, [stream], queue_depth=4),
+            total_bytes=20 * 4096)
         assert estimate.sim_mode == "events"
         assert estimate.bandwidth_mbps > 0
         assert estimate.iops > 0

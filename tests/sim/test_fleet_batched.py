@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.obs.spans import SpanTracer
-from repro.sim.compact import encode_stream
+from repro.sim.compact import encode_stream, encode_streams
 from repro.sim.costparams import CostParameters
 from repro.sim.fleet import (fleet_streams_from_template,
                              simulate_closed_loop, simulate_fleet)
@@ -330,8 +330,8 @@ class TestRaggedEquivalence:
         for key, value in indexed.queue_wait_us.items():
             assert vectorized.queue_wait_us[key] == pytest.approx(value,
                                                                   abs=1e-9)
-        assert (sorted(vectorized.op_latencies_us)
-                == pytest.approx(sorted(indexed.op_latencies_us), abs=1e-9))
+        assert (sorted(vectorized.op_stats.sample)
+                == pytest.approx(sorted(indexed.op_stats.sample), abs=1e-9))
         for ours, theirs in zip(vectorized.client_request_stats,
                                 indexed.client_request_stats):
             assert ours.count == theirs.count
@@ -376,7 +376,7 @@ class TestInputChecks:
         plain = simulate_fleet(_params(), [self.THREE, self.THREE],
                                [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         assert mixed.elapsed_us == plain.elapsed_us
-        assert mixed.op_latencies_us == plain.op_latencies_us
+        assert mixed.op_stats.sample == plain.op_stats.sample
 
     @pytest.mark.parametrize("requests", [0, -1])
     @pytest.mark.parametrize("engine", ["vectorized", "indexed", "traced"])
@@ -428,6 +428,81 @@ class TestInputChecks:
         with pytest.raises(ConfigurationError, match="sorted per client"):
             simulate_fleet(_params(), streams,
                            [[], [50.0, 60.0, 70.0], [], [1.0, 3.0, 2.0], []])
+
+
+# ---------------------------------------------------------------------------
+# op lists both entries refuse, in the one encoder they share
+# ---------------------------------------------------------------------------
+
+def _arrivals_for(streams):
+    """One arrival per op of every op list (none for anything else)."""
+    return [[float(op + 1) for op in range(len(ops))]
+            if isinstance(ops, list) else [] for ops in streams or [[]]]
+
+
+def _entries():
+    """Both replay entries, as ``run(streams)``."""
+    return {
+        "closed": lambda streams: simulate_closed_loop(_params(), streams, 1),
+        "fleet": lambda streams: simulate_fleet(_params(), streams,
+                                                _arrivals_for(streams)),
+    }
+
+
+@pytest.mark.parametrize("entry", ["closed", "fleet"])
+class TestStreamChecks:
+    THREE = [_op(0, i, [1, 2], kind="read") for i in range(3)]
+
+    def test_streams_that_are_no_sequence_are_a_typed_error(self, entry):
+        # a bare TypeError from iterating None
+        run = _entries()[entry]
+        with pytest.raises(ConfigurationError,
+                           match="one op sequence per client"):
+            run(None)
+        with pytest.raises(ConfigurationError, match="^client 1: ops must"):
+            run([self.THREE, 7])
+
+    @pytest.mark.parametrize("bad", ["read", None, THREE[0].traces[0]],
+                             ids=["str", "None", "OpTrace"])
+    def test_an_op_that_is_no_client_op_trace_names_its_client(self, entry,
+                                                               bad):
+        # a bare AttributeError from the encoder
+        with pytest.raises(ConfigurationError,
+                           match="^client 1: op 2 is a .*, not a "
+                                 "ClientOpTrace$"):
+            _entries()[entry]([self.THREE, self.THREE[:2] + [bad]])
+
+    @pytest.mark.parametrize("requests", [2.5, True, "2", np.float64(2.0)])
+    def test_a_request_count_that_is_no_integer_is_refused(self, entry,
+                                                           requests):
+        # 2.5 replayed as 2 requests, True as 1
+        bad = _op(0, 1, [1], requests=requests)
+        with pytest.raises(ConfigurationError,
+                           match="^client 0: op 1 has a request count"):
+            _entries()[entry]([[self.THREE[0], bad, self.THREE[2]]])
+
+    @pytest.mark.parametrize("osd", [1.7, -1, True, "1"])
+    def test_an_osd_id_that_is_no_non_negative_integer_is_refused(self, entry,
+                                                                  osd):
+        # 1.7 was queued on osd.1, -1 on a queue named osd.-1
+        bad = _op(0, 2, [1, osd])
+        with pytest.raises(ConfigurationError,
+                           match="^client 2: op 0 visits OSD .*non-negative "
+                                 "integers$"):
+            _entries()[entry]([self.THREE, self.THREE, [bad]])
+
+    def test_integer_kinds_of_either_library_replay_alike(self, entry):
+        plain = _entries()[entry]([[_op(0, 0, [3, 1], requests=2)]])
+        numpy = _entries()[entry]([[_op(0, 0, [np.int64(3), np.int32(1)],
+                                        requests=np.int64(2))]])
+        assert plain.elapsed_us == numpy.elapsed_us
+        assert plain.request_stats.sample == numpy.request_stats.sample
+
+
+def test_encoded_streams_pass_through_untouched():
+    encoded = encode_stream(TestStreamChecks.THREE)
+    assert encode_streams([encoded, encoded]) == [encoded, encoded]
+    assert all(out is encoded for out in encode_streams([encoded, encoded]))
 
 
 # ---------------------------------------------------------------------------

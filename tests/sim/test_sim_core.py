@@ -1,5 +1,6 @@
 """Tests for the simulation core: cost parameters, ledger, perf model."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -164,6 +165,20 @@ class TestPerformanceModel:
         model = PerformanceModel(CostParameters())
         with pytest.raises(ConfigurationError):
             model.estimate(CostLedger(), 0, queue_depth=0)
+
+    # 2.5 divided the latency sum by 2.5 and True by 1, without a word
+    @pytest.mark.parametrize("depth", [2.5, True, "4", np.float64(2.0)])
+    def test_queue_depth_must_be_an_integer(self, depth):
+        model = PerformanceModel(CostParameters())
+        ledger = self._ledger_with(latency_sum=100, ops=1)
+        with pytest.raises(ConfigurationError, match="positive integer"):
+            model.estimate(ledger, 4096, queue_depth=depth)
+
+    def test_integer_queue_depths_of_either_kind_estimate_alike(self):
+        model = PerformanceModel(CostParameters())
+        ledger = self._ledger_with(latency_sum=100, ops=1)
+        assert (model.estimate(ledger, 4096, queue_depth=2)
+                == model.estimate(ledger, 4096, queue_depth=np.int64(2)))
 
     def test_summary_renders(self):
         model = PerformanceModel(CostParameters())

@@ -15,6 +15,13 @@ queues and the backend network, in one process.  The sharded replay
 is gone with the values that set it; ``CostParameters.sim_shards`` and
 ``sim_jobs`` accept only 1 and have no reader.  The checks below fail
 when a partition, a pool or a merge comes back.
+
+And the engine has one way in per loop: ``simulate_closed_loop`` and
+``simulate_fleet`` (``repro.sim.fleet``).  The forwarders that used to
+wrap them (``sim/scheduler.py``, with the function-level import that hid
+an import cycle), the alias runner (``workload/cluster_runner.py``) and
+the names only tests called are gone, and the checks below fail when one
+comes back.
 """
 
 import ast
@@ -30,12 +37,24 @@ from repro.cli import build_parser
 from repro.errors import ConfigurationError
 from repro.obs.spans import SpanTracer
 from repro.sim.costparams import EVENT_ENGINES, CostParameters
+from repro.sim.fleet import simulate_closed_loop
 from repro.sim.ledger import ClientOpTrace, OpTrace, OsdVisit
+from repro.sim.replay import EventSimResult
 from repro.sim.reservoir import LatencyReservoir
-from repro.sim.scheduler import EventSimResult, simulate_client_ops
 
 SRC = Path(repro.__file__).resolve().parent
 SIM = SRC / "sim"
+ROOT = Path(__file__).resolve().parents[2]
+#: the trees the program is made of, as the repository lays them out
+TREES = ("src", "tools", "benchmarks")
+#: modules that only forwarded, aliased or recorded what nothing read
+GONE_MODULES = ("sim/scheduler.py", "workload/cluster_runner.py",
+                "blockdev/trace.py")
+#: the forwarding entries, the alias runner and the names only tests called
+GONE_ENTRIES = ("simulate_client_ops", "simulate_open_loop",
+                "replay_closed_loop", "ClusterWorkloadRunner",
+                "ClusterWorkloadResult", "estimate_events", "run_many",
+                "OsdFaultPlan", "inject_osd_fault")
 DELETED_NAMES = ("ClusterScheduler", "EventLoop", "SimClock")
 #: the span emitters an event replay calls, each from exactly one place
 EMITTERS = ("osd_visit", "cluster_push", "rados_op", "client_op",
@@ -91,6 +110,61 @@ def mentions(sources, word):
                 found.append(f"{filename}:{getattr(node, 'lineno', 0)} "
                              f"{owner.get(id(node), '<module>')}")
     return found
+
+
+def function_level_relative_imports(sources):
+    """``["file:line module", ...]`` of every relative import made inside a
+    function body (where it can hide an import cycle)."""
+    found = set()
+    for filename, text in sources.items():
+        for function in ast.walk(ast.parse(text)):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(
+                    f"{filename}:{node.lineno} "
+                    f"{'.' * node.level}{node.module or ''}"
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.ImportFrom) and node.level)
+    return sorted(found)
+
+
+def sibling_import_cycle(sources, package="sim"):
+    """One cycle among the module-level ``from .x import`` edges of
+    ``package``'s modules, as a list of module names, or ``[]``."""
+    edges = {}
+    for filename, text in sources.items():
+        parts = filename[:-len(".py")].split("/")
+        if parts[:-1] != [package]:
+            continue
+        edges[parts[-1]] = {node.module.split(".")[0]
+                            for node in ast.parse(text).body
+                            if isinstance(node, ast.ImportFrom)
+                            and node.level == 1 and node.module}
+    state = {}
+
+    def visit(module, path):
+        state[module] = "open"
+        for target in sorted(edges.get(module, ())):
+            if state.get(target) == "open":
+                return path[path.index(target):] + [target]
+            if target not in state:
+                cycle = visit(target, path + [target])
+                if cycle:
+                    return cycle
+        state[module] = "done"
+        return []
+
+    for module in sorted(edges):
+        if module not in state:
+            cycle = visit(module, [module])
+            if cycle:
+                return cycle
+    return []
+
+
+def _tree_sources():
+    """``{path from the repository root: text}`` over :data:`TREES`."""
+    return {str(path.relative_to(ROOT)): path.read_text()
+            for tree in TREES for path in sorted((ROOT / tree).rglob("*.py"))}
 
 
 def process_pool_imports(sources):
@@ -170,13 +244,14 @@ def test_the_bounding_resource_rule_is_written_once():
     del sources["sim/costparams.py"]        # declares and validates the knob
     assert [where.split(":")[0]
             for where in mentions(sources, "saturation_threshold")] == [
-        "sim/scheduler.py"]
+        "sim/replay.py"]
 
 
 def test_structure_checks_catch_a_pasted_back_twin():
     """The checks are live: a second engine trips every one of them."""
     twin = (
         "from .events import EventLoop\n"
+        "from .replay import bounding_resource\n"
         "from concurrent.futures import ProcessPoolExecutor\n"
         "class ClusterScheduler:\n"
         "    def run(self, streams, queue_depth):\n"
@@ -186,12 +261,26 @@ def test_structure_checks_catch_a_pasted_back_twin():
         "        if busy < self._params.saturation_threshold * elapsed:\n"
         "            return 'latency(qd)'\n"
         "        with ProcessPoolExecutor(self._params.sim_jobs) as pool:\n"
-        "            return list(pool.map(self.run, streams))\n")
+        "            return list(pool.map(self.run, streams))\n"
+        "def simulate_client_ops(params, streams, queue_depth):\n"
+        "    from .fleet import simulate_closed_loop\n"
+        "    return simulate_closed_loop(params, streams, queue_depth)\n")
     sources = _sources(SIM)
-    sources["sim/scheduler.py"] += twin
+    sources["sim/scheduler.py"] = twin
     assert [hit.split(" ")[1] for hit
             in names_bound_or_used(sources, DELETED_NAMES)] == [
         "EventLoop", "ClusterScheduler"]
+    assert [hit.split(" ")[1] for hit
+            in names_bound_or_used(sources, GONE_ENTRIES)] == [
+        "simulate_client_ops"]
+    assert function_level_relative_imports(sources) == [
+        "sim/scheduler.py:14 .fleet"]
+    # the twin imports the replay at module level; the replay importing
+    # the twin back closes a cycle
+    assert sibling_import_cycle(sources) == []
+    sources["sim/replay.py"] += "from .scheduler import ClusterScheduler\n"
+    assert sibling_import_cycle(sources) == ["replay", "scheduler",
+                                             "replay"]
     assert [where for where in mentions(sources, "event_engine")
             if not where.startswith("sim/costparams.py:")] != []
     calls = emitter_calls(sources)
@@ -263,19 +352,41 @@ def _one_read():
                                    True])    # True ran at depth 1, silently
 def test_a_queue_depth_that_is_no_positive_integer_is_a_typed_error(depth):
     with pytest.raises(ConfigurationError, match="positive integer"):
-        simulate_client_ops(CostParameters(), _one_read(), depth)
+        simulate_closed_loop(CostParameters(), _one_read(), depth)
 
 
 def test_integer_queue_depths_of_either_kind_replay_alike():
-    plain = simulate_client_ops(CostParameters(), _one_read(), 2)
-    numpy = simulate_client_ops(CostParameters(), _one_read(), np.int64(2))
+    plain = simulate_closed_loop(CostParameters(), _one_read(), 2)
+    numpy = simulate_closed_loop(CostParameters(), _one_read(), np.int64(2))
     assert plain.elapsed_us == numpy.elapsed_us == 147.0
 
 
-def test_the_index_machine_does_not_check_the_depth_again():
+def _machine_method(name):
     tree = ast.parse((SIM / "replay.py").read_text())
-    run_closed = next(node for node in ast.walk(tree)
-                      if isinstance(node, ast.FunctionDef)
-                      and node.name == "run_closed")
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_the_index_machine_does_not_check_the_depth_again():
     assert not any(isinstance(node, ast.Raise)
-                   for node in ast.walk(run_closed))
+                   for node in ast.walk(_machine_method("run_closed")))
+
+
+def test_the_index_machine_does_not_check_the_arrivals_again():
+    """``simulate_fleet`` checks counts and order before it picks an
+    engine, with the messages ``run_open`` used to repeat."""
+    assert not any(isinstance(node, ast.Raise)
+                   for node in ast.walk(_machine_method("run_open")))
+
+
+# -- one way in --------------------------------------------------------------
+
+def test_the_engine_has_one_entry_per_loop():
+    for module in GONE_MODULES:
+        assert not (SRC / module).exists(), module
+    assert names_bound_or_used(_tree_sources(), GONE_ENTRIES) == []
+    assert function_level_relative_imports(_sources(SIM)) == []
+
+
+def test_repro_sim_has_no_import_cycle():
+    assert sibling_import_cycle(_sources(SIM)) == []

@@ -1,4 +1,4 @@
-"""Tests for the multi-client ClusterWorkloadRunner."""
+"""Tests for multi-client runs: ``WorkloadRunner.run_streams``."""
 
 import pytest
 
@@ -7,8 +7,7 @@ from repro.cache import CacheConfig
 from repro.errors import WorkloadError
 from repro.sim.costparams import default_cost_parameters
 from repro.util import KIB, MIB
-from repro.workload.cluster_runner import (ClusterWorkloadResult,
-                                           ClusterWorkloadRunner)
+from repro.workload.runner import WorkloadResult, WorkloadRunner
 from repro.workload.spec import WorkloadSpec
 
 
@@ -55,13 +54,13 @@ class TestClusterRunner:
         cluster = _cluster()
         images = _images(cluster, 1)
         with pytest.raises(WorkloadError):
-            ClusterWorkloadRunner(cluster).run(images, _spec(num_clients=2))
+            WorkloadRunner(cluster).run_streams(images, _spec(num_clients=2))
 
     def test_two_clients_move_all_bytes(self):
         cluster = _cluster()
         images = _images(cluster, 2)
-        result = ClusterWorkloadRunner(cluster).run(images, _spec())
-        assert isinstance(result, ClusterWorkloadResult)
+        result = WorkloadRunner(cluster).run_streams(images, _spec())
+        assert isinstance(result, WorkloadResult)
         assert result.num_clients == 2
         assert result.estimate.total_bytes == 2 * 24 * 16 * KIB
         assert len(result.latencies_us) == 2 * 24
@@ -71,10 +70,10 @@ class TestClusterRunner:
 
     def test_contention_raises_tail_latency(self):
         solo_cluster = _cluster()
-        solo = ClusterWorkloadRunner(solo_cluster).run(
+        solo = WorkloadRunner(solo_cluster).run_streams(
             _images(solo_cluster, 1), _spec(num_clients=1, io_count=48))
         busy_cluster = _cluster()
-        busy = ClusterWorkloadRunner(busy_cluster).run(
+        busy = WorkloadRunner(busy_cluster).run_streams(
             _images(busy_cluster, 4), _spec(num_clients=4, io_count=48))
         assert busy.percentile("p99") > solo.percentile("p99")
         # aggregate bandwidth grows sub-linearly with clients
@@ -83,7 +82,7 @@ class TestClusterRunner:
     def test_analytic_mode_uses_combined_depth(self):
         cluster = _cluster(sim_mode="analytic")
         images = _images(cluster, 2)
-        result = ClusterWorkloadRunner(cluster).run(images, _spec())
+        result = WorkloadRunner(cluster).run_streams(images, _spec())
         assert result.estimate.sim_mode == "analytic"
         assert result.estimate.latency_percentiles  # receipt percentiles
 
@@ -91,7 +90,7 @@ class TestClusterRunner:
         cluster = _cluster()
         images = _images(cluster, 2)
         spec = _spec(batched=True, io_count=16)
-        result = ClusterWorkloadRunner(cluster).run(images, spec)
+        result = WorkloadRunner(cluster).run_streams(images, spec)
         assert result.estimate.total_bytes == 2 * 16 * 16 * KIB
         assert result.counter("engine.batches") > 0
         assert [len(l) for l in result.per_client_latencies_us] == [16, 16]
@@ -102,7 +101,7 @@ class TestClusterRunner:
         cluster = _cluster()
         images = _images(cluster, 2)
         spec = _spec(rw="randread", io_count=8)  # no prefill: all sparse
-        result = ClusterWorkloadRunner(cluster).run(images, spec)
+        result = WorkloadRunner(cluster).run_streams(images, spec)
         assert result.estimate.sim_mode == "events"
         assert result.estimate.iops >= 0
         assert len(result.latencies_us) == 16
@@ -111,7 +110,7 @@ class TestClusterRunner:
         cluster = _cluster()
         images = _images(cluster, 2)
         spec = _spec(rw="randread", batched=True, io_count=16, prefill=True)
-        result = ClusterWorkloadRunner(cluster).run(images, spec)
+        result = WorkloadRunner(cluster).run_streams(images, spec)
         assert result.estimate.total_bytes == 2 * 16 * 16 * KIB
         assert result.percentile("p99") > 0
 
@@ -121,7 +120,7 @@ class TestClusterRunner:
         images = _images(cluster, 2)
         spec = _spec(cache=CacheConfig(mode="writeback", size=8 * MIB),
                      io_count=32)
-        result = ClusterWorkloadRunner(cluster).run(images, spec)
+        result = WorkloadRunner(cluster).run_streams(images, spec)
         assert result.estimate.sim_mode == "events"
         # Both streams completed every request (plus at most one final
         # flush op each).
@@ -139,6 +138,6 @@ class TestClusterRunner:
         spec = _spec(batched=True,
                      cache=CacheConfig(mode="writeback", size=8 * MIB),
                      io_count=24)
-        result = ClusterWorkloadRunner(cluster).run(images, spec)
+        result = WorkloadRunner(cluster).run_streams(images, spec)
         assert result.estimate.total_bytes == 2 * 24 * 16 * KIB
         assert result.counter("cache.writebacks") > 0

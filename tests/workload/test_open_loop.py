@@ -15,7 +15,6 @@ from repro.sim.costparams import default_cost_parameters
 from repro.util import KIB, MIB
 from repro.workload.arrival import (PoissonArrivals, TraceArrivals,
                                     arrival_process_for, arrival_schedule)
-from repro.workload.cluster_runner import ClusterWorkloadRunner
 from repro.workload.runner import WorkloadRunner, capture_template_stream
 from repro.workload.spec import WorkloadSpec
 
@@ -105,7 +104,7 @@ class TestRunnerIntegration:
         cluster = _cluster()
         images = [_image(cluster, f"ol-{i}") for i in range(2)]
         spec = _spec(num_clients=2)
-        result = ClusterWorkloadRunner(cluster).run(images, spec)
+        result = WorkloadRunner(cluster).run_streams(images, spec)
         assert result.num_clients == 2
         assert len(result.per_client_latencies_us) == 2
         assert result.bandwidth_mbps > 0

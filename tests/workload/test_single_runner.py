@@ -1,9 +1,9 @@
 """Keep the workload runner single.
 
 A single-image run is a one-client cluster run: ``WorkloadRunner.run`` is a
-one-line entry to ``run_streams``, ``ClusterWorkloadRunner`` is the same
-class under its multi-image spelling and ``capture_template_stream`` is the
-drive half of the same body.  These checks fail when a second run body or a
+one-line entry to ``run_streams``, there is no second runner class under a
+multi-image spelling, and ``capture_template_stream`` is the drive half of
+the same body.  These checks fail when a second run body or a
 third issue loop comes back — a second call site of the model, the request
 generator or the image's scalar read — or when the entries stop meaning the
 same thing.  They also pin what only one body could give: the image-count
@@ -29,8 +29,6 @@ from repro.errors import WorkloadError
 from repro.sim.costparams import default_cost_parameters
 from repro.util import KIB, MIB
 from repro.workload import runner as runner_module
-from repro.workload.cluster_runner import (ClusterWorkloadResult,
-                                           ClusterWorkloadRunner)
 from repro.workload.runner import (WorkloadResult, WorkloadRunner,
                                    capture_template_stream, prefill_image)
 from repro.workload.spec import WorkloadSpec
@@ -44,7 +42,7 @@ SRC = Path(repro.__file__).resolve().parent
 WORKLOAD = SRC / "workload"
 RUNNER = WORKLOAD / "runner.py"
 #: a name that must be called from exactly one place in repro.workload
-ONE_CALL_SITE = ("simulate_client_ops", "simulate_open_loop",
+ONE_CALL_SITE = ("simulate_closed_loop", "simulate_fleet",
                  "estimate_from_events", "self._model.estimate",
                  "read_with_receipt")
 GENERATORS = ("generate_requests", "generate_request_list")
@@ -118,13 +116,15 @@ def test_the_single_image_run_is_a_one_line_entry():
     assert ast.unparse(only.value).startswith("self.run_streams([image], ")
 
 
-def test_the_cluster_spelling_has_no_body_of_its_own():
-    assert functions_with_loops(
-        (WORKLOAD / "cluster_runner.py").read_text()) == []
-    assert ClusterWorkloadResult is WorkloadResult
-    assert issubclass(ClusterWorkloadRunner, WorkloadRunner)
-    assert ClusterWorkloadRunner.run is WorkloadRunner.run_streams
+def test_there_is_one_runner_class_and_one_result_class():
+    assert not (WORKLOAD / "cluster_runner.py").exists()
+    classes = [node.name for text in _workload_sources().values()
+               for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.ClassDef) and "Runner" in node.name]
+    assert classes == ["WorkloadRunner"]
+    assert not hasattr(WorkloadRunner, "run_many")
     assert not hasattr(runner_module, "fresh_ledger_copy")
+    assert runner_module.WorkloadResult is WorkloadResult
 
 
 def test_a_sweep_point_makes_one_runner_call():
@@ -141,14 +141,14 @@ def test_structure_checks_catch_a_pasted_back_twin():
         "def run(self, images, spec):\n"
         "    for request in generate_requests(spec, images[0].size):\n"
         "        images[0].read_with_receipt(request.offset, request.length)\n"
-        "    sim = simulate_client_ops(self._cluster.params, [[]], 1)\n"
+        "    sim = simulate_closed_loop(self._cluster.params, [[]], 1)\n"
         "    return self._model.estimate(None, 0, 1)\n")
     sources = _workload_sources()
     del sources["generator.py"]
-    sources["cluster_runner.py"] += twin
+    sources["cluster_runner.py"] = twin
     sites = call_sites(sources, ONE_CALL_SITE + GENERATORS)
     assert {name: len(found) for name, found in sites.items()} == {
-        "simulate_client_ops": 2, "simulate_open_loop": 1,
+        "simulate_closed_loop": 2, "simulate_fleet": 1,
         "estimate_from_events": 1, "self._model.estimate": 2,
         "read_with_receipt": 2, "generate_requests": 1,
         "generate_request_list": 1}
@@ -238,7 +238,7 @@ def test_every_entry_checks_the_image_count():
     (image,) = _images(cluster, 1)
     spec = _spec(num_clients=3)
     for entry in (lambda: WorkloadRunner(cluster).run(image, spec),
-                  lambda: ClusterWorkloadRunner(cluster).run([image], spec),
+                  lambda: WorkloadRunner(cluster).run_streams([image], spec),
                   lambda: capture_template_stream(cluster, image, spec)):
         with pytest.raises(WorkloadError, match="3 clients but 1 images"):
             entry()
@@ -267,7 +267,7 @@ def test_payloads_are_a_function_of_the_seeds(overrides):
     digests = []
     for _ in range(2):
         cluster = _cluster()
-        ClusterWorkloadRunner(cluster).run(
+        WorkloadRunner(cluster).run_streams(
             _images(cluster, spec.num_clients), spec)
         digests.append(_stored_digest(cluster))
     assert digests[0] == digests[1]
@@ -285,7 +285,7 @@ def test_prefill_honours_its_pattern_seed_and_clients_write_their_own_bytes():
     cluster = _cluster()
     images = _images(cluster, 2)
     spec = _spec(rw="write", io_count=1, num_clients=2)
-    ClusterWorkloadRunner(cluster).run(images, spec)
+    WorkloadRunner(cluster).run_streams(images, spec)
     first, second = (image.read(0, spec.io_size) for image in images)
     assert first != second
 
@@ -298,13 +298,13 @@ def test_a_batched_capture_is_the_stream_the_run_replays(monkeypatch,
     spec = _spec(rw="randrw", batched=True, prefill=True,
                  cache=cache_mode and CacheConfig(mode=cache_mode))
     replayed = []
-    simulate = runner_module.simulate_client_ops
+    simulate = runner_module.simulate_closed_loop
 
     def recording(params, streams, *args, **kwargs):
         replayed.extend(streams)
         return simulate(params, streams, *args, **kwargs)
 
-    monkeypatch.setattr(runner_module, "simulate_client_ops", recording)
+    monkeypatch.setattr(runner_module, "simulate_closed_loop", recording)
     cluster = _cluster()
     (image,) = _images(cluster, 1)
     WorkloadRunner(cluster).run(image, spec)

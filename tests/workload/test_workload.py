@@ -135,14 +135,6 @@ class TestRunner:
                                                 io_count=8))
         assert result.layout == "plaintext"
 
-    def test_run_many(self, cluster):
-        image = self._image(cluster)
-        runner = WorkloadRunner(cluster)
-        specs = [WorkloadSpec(rw="randwrite", io_size=4 * KIB, io_count=8),
-                 WorkloadSpec(rw="randread", io_size=4 * KIB, io_count=8)]
-        results = runner.run_many(image, specs)
-        assert len(results) == 2
-
     def test_ledger_delta_isolated_per_run(self, cluster):
         image = self._image(cluster)
         runner = WorkloadRunner(cluster)

@@ -26,7 +26,7 @@ numbers across refactors.  Each record prints every result field with
 * ``invalid/...`` — inputs ``simulate_fleet`` must reject, recorded as the
   exception's type and message: malformed arrivals and request counts,
   then every float cost column holding NaN, infinity or a negative;
-* ``closed/...`` — the closed loop through ``simulate_client_ops``: the
+* ``closed/...`` — the closed loop through ``simulate_closed_loop``: the
   four fleets the legacy ``ClusterScheduler`` used to be compared on
   (``mixed_streams`` at depths 1, 2, 8; two clients x eight ops at depth
   4 on two-server OSD queues) and seeded random fleets — 1-8 clients,
@@ -36,9 +36,9 @@ numbers across refactors.  Each record prints every result field with
   sorted by ``span_sort_key``).  These records leave ``engine`` out: the
   legacy scheduler wrote their digests before it was deleted, and the
   index machine reproduces them;
-* ``runner/...`` — the workload runner's three entry points on fresh
+* ``runner/...`` — the workload runner's two entry points on fresh
   clusters: ``WorkloadRunner.run`` (``run``) and
-  ``ClusterWorkloadRunner.run`` on one image and on three (``x1``,
+  ``WorkloadRunner.run_streams`` on one image and on three (``x1``,
   ``x3``) over layouts x {randwrite, randrw} x {unbatched, batched} x
   cache {off, writeback, pwl} x {analytic, analytic traced, events,
   events traced, events open-loop}, each printing the estimate, the
@@ -446,10 +446,10 @@ def _closed_fleet(index: int):
 
 def _run_closed(params, streams, queue_depth: int, traced: bool) -> str:
     from repro.obs.spans import SpanTracer, span_sort_key
-    from repro.sim.scheduler import simulate_client_ops
+    from repro.sim.fleet import simulate_closed_loop
 
     tracer = SpanTracer() if traced else None
-    result = simulate_client_ops(params, streams, queue_depth, tracer=tracer)
+    result = simulate_closed_loop(params, streams, queue_depth, tracer=tracer)
     # every field but the engine's name: the legacy scheduler wrote these
     # records' digests and the index machine has to reproduce them
     text = _result_text(result, RESULT_FIELDS[1:])
@@ -507,15 +507,15 @@ def _runner_images(sim_mode: str, layout: str, count: int):
 def _run_entry(entry: str, layout: str, sim_mode: str, traced: bool,
                spec) -> str:
     from repro.obs.spans import SpanTracer
-    from repro.workload.cluster_runner import ClusterWorkloadRunner
     from repro.workload.runner import WorkloadRunner
 
     cluster, images = _runner_images(sim_mode, layout, spec.num_clients)
     tracer = SpanTracer() if traced else None
+    runner = WorkloadRunner(cluster, tracer)
     if entry == "run":
-        result = WorkloadRunner(cluster, tracer).run(images[0], spec)
+        result = runner.run(images[0], spec)
     else:
-        result = ClusterWorkloadRunner(cluster, tracer).run(images, spec)
+        result = runner.run_streams(images, spec)
     lines = [f"layout={result.layout!r}", f"estimate={result.estimate!r}",
              f"counters={sorted(result.counters.items())!r}",
              f"latencies_us={result.latencies_us!r}"]
